@@ -36,7 +36,6 @@ from .kernels import (
     QuadratureSpec,
     QuadResult,
     bose_occupation,
-    doppler_frequency,
     integrate_1d,
     integrate_omega_x,
     lorentz_gamma,
@@ -125,7 +124,6 @@ __all__ = [
     "bose_occupation",
     "check_point_dipole",
     "derivatives",
-    "doppler_frequency",
     "drag_combination",
     "energy_balance_residual",
     "equilibrium_temperature",

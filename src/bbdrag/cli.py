@@ -162,6 +162,22 @@ def _reject_unknown(d, allowed, path):
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
+def _read_config_file(source):
+    """The JSON object in a config file; read and parse errors name the file."""
+    path = Path(source)
+    try:
+        text = path.read_text()
+    except OSError as e:
+        raise ConfigError(f"config file {path}: {e.strerror or e}") from e
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            f"config file {path}: parse error at line {e.lineno} column {e.colno}: {e.msg}"
+        ) from e
+    return _require_mapping(raw, "config")
+
+
 def load_config(source) -> RunConfig:
     """Build a RunConfig from a JSON file path or an already-parsed dict.
 
@@ -169,21 +185,7 @@ def load_config(source) -> RunConfig:
     errors name the offending field path, parse errors carry line and
     column.  {} is valid and yields the documented defaults.
     """
-    if isinstance(source, dict):
-        raw = source
-    else:
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise ConfigError(f"config file {path}: {e.strerror or e}") from e
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"config file {path}: parse error at line {e.lineno} column {e.colno}: {e.msg}"
-            ) from e
-    _require_mapping(raw, "config")
+    raw = source if isinstance(source, dict) else _read_config_file(source)
     _reject_unknown(
         raw,
         ("units", "particle", "bath", "model", "quadrature", "evolve", "output"),
@@ -642,19 +644,7 @@ def _assemble_config(args) -> tuple[RunConfig, str | None, dict]:
     """
     raw: dict = {}
     if args.config:
-        path = Path(args.config)
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise ConfigError(f"config file {path}: {e.strerror or e}") from e
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"config file {path}: parse error at line {e.lineno} "
-                f"column {e.colno}: {e.msg}"
-            ) from e
-        _require_mapping(raw, "config")
+        raw = _read_config_file(args.config)
 
     sweeps: dict[str, np.ndarray] = {}
 

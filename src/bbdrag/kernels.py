@@ -6,8 +6,6 @@ scalar kernels are written so that no admissible input overflows:
 * ``bose_occupation`` uses expm1 below the exp-overflow threshold and
   the asymptotic exp(-y) above it, exact to double precision (the two
   branches differ by a relative 2e-305 at the crossover).
-* ``coth_zero_point_subtracted`` is the same object at doubled
-  argument: coth(y) - 1 = 2/(e^{2y} - 1).
 * ``inv_sinh_sq`` evaluates 1/sinh(y)^2 as 4 e^{-2y}/(e^{-2y} - 1)^2,
   which neither overflows at large y nor cancels at small y.
 
@@ -178,26 +176,6 @@ def bose_occupation(omega, temperature: float):
     return out
 
 
-def coth_zero_point_subtracted(y):
-    """coth(y) - 1 = 2/(e^{2y} - 1) for y > 0.
-
-    The zero-point-subtracted form of the thermal coth: finite for all
-    y > 0, monotone decreasing, ~ 1/y - 1 as y -> 0+, ~ 2 e^{-2y} as
-    y -> infinity, with no overflow at large argument.
-    """
-    v = np.asarray(y, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("coth_zero_point_subtracted requires y > 0")
-    two_y = 2.0 * v
-    out = np.empty_like(two_y)
-    small = two_y < _EXP_SWITCH
-    out[small] = 2.0 / np.expm1(two_y[small])
-    out[~small] = 2.0 * np.exp(-two_y[~small])
-    if np.isscalar(y) or np.ndim(y) == 0:
-        return float(out)
-    return out
-
-
 def inv_sinh_sq(y):
     """1/sinh(y)^2 for y > 0, overflow-free: 4 e^{-2y} / (e^{-2y} - 1)^2."""
     v = np.asarray(y, dtype=float)
@@ -206,24 +184,6 @@ def inv_sinh_sq(y):
     e = np.exp(-2.0 * v)
     out = 4.0 * e / np.expm1(-2.0 * v) ** 2
     if np.isscalar(y) or np.ndim(y) == 0:
-        return float(out)
-    return out
-
-
-def doppler_frequency(omega, x, beta: float):
-    """Rest-frame frequency gamma * omega * (1 + beta * x) of a lab photon.
-
-    omega > 0, |x| <= 1 (arrival-direction cosine), beta in [0, BETA_MAX].
-    """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("doppler_frequency requires omega > 0")
-    xv = np.asarray(x, dtype=float)
-    if np.any(np.abs(xv) > 1.0):
-        raise ValueError("doppler_frequency requires |x| <= 1")
-    g = lorentz_gamma(beta)
-    out = g * w * (1.0 + beta * xv)
-    if np.ndim(out) == 0:
         return float(out)
     return out
 

@@ -31,6 +31,9 @@ Identities above hold exactly for the integrals; numerically they hold
 to combined quadrature error, which is what the consistency module
 checks.
 
+Every a''(w_b) integral -- here, in the consistency checks and in the
+trajectory monitor -- is one _doppler_integral call with its own weight.
+
 Every observable returns a Quantity carrying the value, a conservative
 error estimate, and quadrature diagnostics, including the largest
 Doppler argument the model can be sampled at ("omega_beta_max").
@@ -132,11 +135,6 @@ def _diag(q: QuadResult, gamma: float, beta: float) -> dict:
     }
 
 
-def _occupation_difference(omega, omega_b, t2: float, t1: float):
-    """n(omega, T2) - n(omega_b, T1); each term exactly 0 at zero temperature."""
-    return bose_occupation(omega, t2) - bose_occupation(omega_b, t1)
-
-
 def _doppler_geometry(model: PolarizabilityModel, beta: float, gamma: float):
     """Inner-edge function and outer seeds for kernels sampling a''(w_b).
 
@@ -171,6 +169,41 @@ def _doppler_geometry(model: PolarizabilityModel, beta: float, gamma: float):
     return edges_fn, tuple(seeds)
 
 
+def _negated(value: float) -> float:
+    """-value, but +0.0 for an exact zero, as in a null model's emitted power."""
+    return 0.0 - value
+
+
+def _doppler_integral(
+    weight, beta: float, t1: float, t2: float, model: PolarizabilityModel, spec: QuadratureSpec
+) -> QuadResult:
+    """Int dw w^4 Int dx weight(x, 1+bx) a''(w_b) [n(w,T2) - n(w_b,T1)].
+
+    The one lab-frame Doppler integral behind every observable that
+    samples a''(w_b); callers differ only in the angular weight and the
+    prefactor.  Passing t1 = 0 keeps the bath term alone and t2 = 0 the
+    particle term alone (negated: callers take _negated of the value),
+    since n(., 0) is exactly 0; the temperatures also set the cutoff.
+    """
+    g = lorentz_gamma(beta)
+    edges_fn, seeds = _doppler_geometry(model, beta, g)
+
+    def kern(om, x):
+        u = 1.0 + beta * x
+        wb = g * om * u
+        # A zero-temperature term is skipped, not subtracted as an array of
+        # zeros: bitwise the same result, one full-size array pass fewer.
+        if t1 == 0.0:
+            occ = bose_occupation(om, t2)
+        elif t2 == 0.0:
+            occ = 0.0 - bose_occupation(wb, t1)
+        else:
+            occ = bose_occupation(om, t2) - bose_occupation(wb, t1)
+        return weight(x, u) * om**4 * alpha_im(model, wb) * occ
+
+    return integrate_omega_x(kern, t1, t2, beta, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
+
+
 def force_lab(
     state: ParticleState,
     bath: BathSpec,
@@ -187,15 +220,8 @@ def force_lab(
         return _zero("integrand odd in x at beta = 0")
     if t1 == 0.0 and t2 == 0.0:
         return _zero("no photons at T1 = T2 = 0")
+    q = _doppler_integral(lambda x, u: x * u * u, b, t1, t2, model, spec)
     g = lorentz_gamma(b)
-    edges_fn, seeds = _doppler_geometry(model, b, g)
-
-    def kern(om, x):
-        u = 1.0 + b * x
-        wb = g * om * u
-        return x * u * u * om**4 * alpha_im(model, wb) * _occupation_difference(om, wb, t2, t1)
-
-    q = integrate_omega_x(kern, t1, t2, b, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
     pref = -_PREF * g
     return Quantity(pref * q.value, abs(pref) * q.error, _diag(q, g, b))
 
@@ -215,15 +241,8 @@ def heating_rate(
     if t1 == 0.0 and t2 == 0.0:
         return _zero("no photons at T1 = T2 = 0")
     b = state.beta
+    q = _doppler_integral(lambda x, u: u**3, b, t1, t2, model, spec)
     g = lorentz_gamma(b)
-    edges_fn, seeds = _doppler_geometry(model, b, g)
-
-    def kern(om, x):
-        u = 1.0 + b * x
-        wb = g * om * u
-        return u**3 * om**4 * alpha_im(model, wb) * _occupation_difference(om, wb, t2, t1)
-
-    q = integrate_omega_x(kern, t1, t2, b, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
     pref = _PREF * g
     return Quantity(pref * q.value, pref * q.error, _diag(q, g, b))
 
@@ -243,36 +262,19 @@ def intensity(
     """
     b, t1, t2 = state.beta, state.temperature, bath.temperature
     g = lorentz_gamma(b)
-    edges_fn, seeds = _doppler_geometry(model, b, g)
-
-    def shape(om, x):
-        u = 1.0 + b * x
-        return u * u * om**4 * alpha_im(model, g * om * u)
+    pref = _PREF * g
 
     if t1 == 0.0:
         emitted = _zero("no spontaneous emission at T1 = 0")
     else:
-
-        def kern1(om, x):
-            u = 1.0 + b * x
-            return shape(om, x) * bose_occupation(g * om * u, t1)
-
-        q1 = integrate_omega_x(
-            kern1, t1, 0.0, b, spec, inner_edges_fn=edges_fn, outer_seeds=seeds
-        )
-        emitted = Quantity(_PREF * g * q1.value, _PREF * g * q1.error, _diag(q1, g, b))
+        q1 = _doppler_integral(lambda x, u: u * u, b, t1, 0.0, model, spec)
+        emitted = Quantity(pref * _negated(q1.value), pref * q1.error, _diag(q1, g, b))
 
     if t2 == 0.0:
         absorbed = _zero("no bath photons at T2 = 0")
     else:
-
-        def kern2(om, x):
-            return shape(om, x) * bose_occupation(om, t2)
-
-        q2 = integrate_omega_x(
-            kern2, 0.0, t2, b, spec, inner_edges_fn=edges_fn, outer_seeds=seeds
-        )
-        absorbed = Quantity(_PREF * g * q2.value, _PREF * g * q2.error, _diag(q2, g, b))
+        q2 = _doppler_integral(lambda x, u: u * u, b, 0.0, t2, model, spec)
+        absorbed = Quantity(pref * q2.value, pref * q2.error, _diag(q2, g, b))
 
     net = Quantity(
         emitted.value - absorbed.value,
@@ -301,14 +303,8 @@ def drag_combination(
         return _zero("integrand odd in x at beta = 0")
     if t2 == 0.0:
         return _zero("no bath photons at T2 = 0")
+    q = _doppler_integral(lambda x, u: (x + b) * u * u, b, 0.0, t2, model, spec)
     g = lorentz_gamma(b)
-    edges_fn, seeds = _doppler_geometry(model, b, g)
-
-    def kern(om, x):
-        u = 1.0 + b * x
-        return (x + b) * u * u * om**4 * alpha_im(model, g * om * u) * bose_occupation(om, t2)
-
-    q = integrate_omega_x(kern, 0.0, t2, b, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
     pref = -_PREF * g**3
     return Quantity(pref * q.value, abs(pref) * q.error, _diag(q, g, b))
 

@@ -94,6 +94,18 @@ def test_missing_config_file_reported(tmp_path):
         load_config(str(tmp_path / "absent.json"))
 
 
+def test_config_flag_parse_error_exits_1(tmp_path, capsys):
+    p = tmp_path / "broken.json"
+    p.write_text('{\n  "particle": {"beta": }\n}\n')
+    assert run(["force", "--config", str(p)]) == 1
+    assert "line 2 column" in capsys.readouterr().err
+
+
+def test_config_flag_missing_file_exits_1(tmp_path, capsys):
+    assert run(["force", "--config", str(tmp_path / "absent.json")]) == 1
+    assert "config file" in capsys.readouterr().err
+
+
 def test_ode_quadrature_tolerance_coupling_checked():
     with pytest.raises(ConfigError, match="abs_tol"):
         load_config({"evolve": {"abs_tol": 1e-15}})

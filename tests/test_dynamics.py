@@ -13,6 +13,7 @@ from bbdrag import (
     BathSpec,
     BracketError,
     EvolveConfig,
+    LorentzOscillator,
     MaterialThermo,
     Ohmic,
     ParticleState,
@@ -23,8 +24,10 @@ from bbdrag import (
     evolve,
     force_rest_frame,
     heating_rate,
+    intensity,
     lorentz_gamma,
 )
+from bbdrag.dynamics import _net_intensity
 
 SPEC = QuadratureSpec()
 BAND = TopHat(amplitude=1.0, omega1=0.5, omega2=1.5)
@@ -69,6 +72,20 @@ def test_derivatives_match_observables():
     # dT1/dt = gamma*Qdot*(1 - C_s*T1) / (C_s*m)
     expected = g * qd * (1.0 - 0.01 * 1.2) / (0.01 * 7.0)
     assert dt1 == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "model", [BAND, LorentzOscillator(1.0, 2.0, 0.5)], ids=lambda m: type(m).__name__
+)
+@pytest.mark.parametrize("t1, t2", [(2.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+def test_monitor_intensity_matches_observable(model, t1, t2):
+    """The monitor's single-quadrature I agrees with intensity()'s I1 - I2."""
+    state = ParticleState(beta=0.5, mass=1.0, temperature=t1)
+    bath = BathSpec(t2)
+    mon = _net_intensity(state, bath, model, SPEC)
+    net, _, _ = intensity(state, bath, model, SPEC)
+    assert net.value != 0.0
+    assert abs(mon.value - net.value) <= 10.0 * math.hypot(mon.error, net.error)
 
 
 # ---------------------------------------------------------------- equilibrium

@@ -13,13 +13,12 @@ from bbdrag import (
     QuadratureConvergenceError,
     QuadratureSpec,
     bose_occupation,
-    doppler_frequency,
     integrate_1d,
     integrate_omega_x,
     lorentz_gamma,
     omega_cutoff,
 )
-from bbdrag.kernels import BETA_MAX, coth_zero_point_subtracted, inv_sinh_sq
+from bbdrag.kernels import BETA_MAX, inv_sinh_sq
 
 SPEC = QuadratureSpec()
 
@@ -74,29 +73,12 @@ def test_bose_positive_and_monotonic_in_temperature(w, t):
 
 def test_coth_and_sinh_helpers():
     y = 0.7
-    assert coth_zero_point_subtracted(y) == pytest.approx(
-        1.0 / math.tanh(y) - 1.0, rel=1e-14
-    )
-    assert coth_zero_point_subtracted(y) == pytest.approx(
-        2.0 * bose_occupation(2.0 * y, 1.0), rel=1e-14
-    )
     assert inv_sinh_sq(y) == pytest.approx(1.0 / math.sinh(y) ** 2, rel=1e-14)
     with pytest.raises(ValueError):
         inv_sinh_sq(0.0)
 
 
 # ------------------------------------------------------------------ doppler
-
-
-def test_doppler_frequency_values():
-    g = lorentz_gamma(0.6)
-    assert doppler_frequency(2.0, 1.0, 0.6) == pytest.approx(g * 2.0 * 1.6, rel=1e-15)
-    assert doppler_frequency(2.0, -1.0, 0.6) == pytest.approx(g * 2.0 * 0.4, rel=1e-15)
-    assert doppler_frequency(2.0, 0.0, 0.0) == 2.0
-    with pytest.raises(ValueError):
-        doppler_frequency(2.0, 1.5, 0.6)
-    with pytest.raises(ValueError):
-        doppler_frequency(-2.0, 0.5, 0.6)
 
 
 def test_lorentz_gamma_values():

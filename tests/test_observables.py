@@ -101,6 +101,9 @@ def test_null_coupling_gives_exact_zeros():
     assert bundle.force_lab.value == 0.0
     assert bundle.heating_rate.value == 0.0
     assert bundle.intensity.value == 0.0
+    # Exact zeros are +0.0, so JSON output reads 0.0 rather than -0.0.
+    assert math.copysign(1.0, bundle.intensity_emitted.value) == 1.0
+    assert math.copysign(1.0, bundle.intensity.value) == 1.0
 
 
 def test_cold_moving_particle_signs():
