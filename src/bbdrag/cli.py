@@ -22,18 +22,20 @@ every physical quantity in internal units and in SI.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .consistency import verify_all
 from .dynamics import (
+    MODES,
     BracketError,
     DynamicsError,
     EvolveConfig,
@@ -77,23 +79,6 @@ class _Parser(argparse.ArgumentParser):
 
 _DEFAULT_MODEL = {"type": "ohmic", "slope": 1.0, "omega_c": 5.0}
 
-_EVOLVE_DEFAULTS = {
-    "t_end": 10.0,
-    "initial_step": None,
-    "rel_tol": 1e-8,
-    "abs_tol": 1e-10,
-    "mode": "full",
-    "output_stride": 1,
-    "max_step": math.inf,
-    "beta_floor": 1e-8,
-    "temperature_tol": 1e-6,
-    "beta_stop": None,
-    "monitor": True,
-    "balance_substeps": 1,
-}
-
-_QUAD_FIELDS = ("rel_tol", "abs_tol", "u_max", "max_subdivisions", "inner_nodes")
-
 EVOLVE_COLUMNS = ("t", "beta", "m", "T1", "F_x", "Qdot", "I", "balance_residual")
 
 # SI conversion kind for each evolve column / verify check (beta has none).
@@ -128,7 +113,7 @@ _SI_UNIT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated, internal-unit view of one run's inputs."""
 
@@ -150,9 +135,9 @@ def _require_mapping(obj, path):
     return obj
 
 
-def _num(section, key, value):
+def _num(path, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     return float(value)
 
 
@@ -178,6 +163,64 @@ def _read_config_file(source):
     return _require_mapping(raw, "config")
 
 
+def _twin(d, section, key, default, si_key, from_si):
+    """Internal-unit value of a field given as `key` or as its SI twin `si_key`.
+
+    Giving both is an error.  The value must be a finite number, or null
+    when the default is None (the field is then unset); from_si converts
+    an SI value.  Every error names the key that was given.
+    """
+    if key in d and si_key in d:
+        raise ConfigError(f"{section}.{si_key}: conflicts with {section}.{key}; give one")
+    name = si_key if si_key in d else key
+    path = f"{section}.{name}"
+    value = d.get(name, default)
+    if value is None and default is None:
+        return None
+    value = _num(path, value)
+    try:
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        return from_si(value) if name == si_key else value
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _call(path, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError reported under path."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
+
+
+def _dataclass_kwargs(raw, section, cls) -> dict:
+    """raw[section] as keyword arguments for the dataclass cls.
+
+    The allowed keys and each value's type (bool, int, str, float or
+    nullable float) come from cls's fields; numbers become floats.
+    Fields left out keep the dataclass defaults.
+    """
+    d = _require_mapping(raw.get(section, {}), section)
+    hints = typing.get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+    _reject_unknown(d, types, section)
+    kwargs = {}
+    for key, value in d.items():
+        path, hint = f"{section}.{key}", types[key]
+        if hint in _TYPE_NAMES:
+            # bool is an int subclass, so an int field must reject it by hand
+            if not isinstance(value, hint) or (hint is int and isinstance(value, bool)):
+                raise ConfigError(f"{path}: expected {_TYPE_NAMES[hint]}, got {value!r}")
+        elif not (value is None and type(None) in typing.get_args(hint)):
+            value = _num(path, value)
+        kwargs[key] = value
+    return kwargs
+
+
 def load_config(source) -> RunConfig:
     """Build a RunConfig from a JSON file path or an already-parsed dict.
 
@@ -192,13 +235,8 @@ def load_config(source) -> RunConfig:
         "config",
     )
 
-    units_raw = _require_mapping(raw.get("units", {}), "units")
-    _reject_unknown(units_raw, ("reference_temperature",), "units")
-    t_ref = _num("units", "reference_temperature", units_raw.get("reference_temperature", 300.0))
-    try:
-        us = UnitSystem(reference_temperature=t_ref)
-    except ValueError as e:
-        raise ConfigError(f"units.reference_temperature: {e}") from e
+    us = _call("units.reference_temperature", UnitSystem,
+               **_dataclass_kwargs(raw, "units", UnitSystem))
 
     part = _require_mapping(raw.get("particle", {}), "particle")
     _reject_unknown(
@@ -207,30 +245,11 @@ def load_config(source) -> RunConfig:
          "specific_heat", "radius", "radius_si"),
         "particle",
     )
-    if "beta" in part and "velocity_si" in part:
-        raise ConfigError("particle.velocity_si: conflicts with particle.beta; give one")
-    if "velocity_si" in part:
-        try:
-            beta = beta_from_velocity(_num("particle", "velocity_si", part["velocity_si"]))
-        except ValueError as e:
-            raise ConfigError(f"particle.velocity_si: {e}") from e
-    else:
-        beta = _num("particle", "beta", part.get("beta", 0.0))
-    if "mass" in part and "mass_si" in part:
-        raise ConfigError("particle.mass_si: conflicts with particle.mass; give one")
-    if "mass_si" in part:
-        mass = us.to_internal(_num("particle", "mass_si", part["mass_si"]), "mass")
-    else:
-        mass = _num("particle", "mass", part.get("mass", 1.0))
-    if "temperature" in part and "temperature_si" in part:
-        raise ConfigError(
-            "particle.temperature_si: conflicts with particle.temperature; give one"
-        )
-    if "temperature_si" in part:
-        t1 = us.to_internal(_num("particle", "temperature_si", part["temperature_si"]),
-                            "temperature")
-    else:
-        t1 = _num("particle", "temperature", part.get("temperature", 1.0))
+    beta = _twin(part, "particle", "beta", 0.0, "velocity_si", beta_from_velocity)
+    mass = _twin(part, "particle", "mass", 1.0, "mass_si",
+                 lambda v: us.to_internal(v, "mass"))
+    t1 = _twin(part, "particle", "temperature", 1.0, "temperature_si",
+               lambda v: us.to_internal(v, "temperature"))
     try:
         state = ParticleState(beta, mass, t1)
     except ValueError as e:
@@ -238,84 +257,28 @@ def load_config(source) -> RunConfig:
         field = "particle.beta" if "beta" in msg else (
             "particle.mass" if "mass" in msg else "particle.temperature")
         raise ConfigError(f"{field}: {msg}") from e
-    try:
-        thermo = MaterialThermo(_num("particle", "specific_heat",
-                                     part.get("specific_heat", 1e-8)))
-    except ValueError as e:
-        raise ConfigError(f"particle.specific_heat: {e}") from e
-    radius = None
-    if "radius" in part and "radius_si" in part:
-        raise ConfigError("particle.radius_si: conflicts with particle.radius; give one")
-    if "radius" in part and part["radius"] is not None:
-        radius = _num("particle", "radius", part["radius"])
-    elif "radius_si" in part and part["radius_si"] is not None:
-        # length in internal units is c/omega_ref
-        radius = _num("particle", "radius_si", part["radius_si"]) * us.omega_ref / C_LIGHT
+    thermo = _call("particle.specific_heat", MaterialThermo,
+                   _num("particle.specific_heat", part.get("specific_heat", 1e-8)))
+    # length in internal units is c/omega_ref
+    radius = _twin(part, "particle", "radius", None, "radius_si",
+                   lambda v: v * us.omega_ref / C_LIGHT)
     if radius is not None and radius <= 0.0:
         raise ConfigError(f"particle.radius: must be positive, got {radius!r}")
 
     bath_raw = _require_mapping(raw.get("bath", {}), "bath")
     _reject_unknown(bath_raw, ("temperature", "temperature_si"), "bath")
-    if "temperature" in bath_raw and "temperature_si" in bath_raw:
-        raise ConfigError("bath.temperature_si: conflicts with bath.temperature; give one")
-    if "temperature_si" in bath_raw:
-        t2 = us.to_internal(_num("bath", "temperature_si", bath_raw["temperature_si"]),
-                            "temperature")
-    else:
-        t2 = _num("bath", "temperature", bath_raw.get("temperature", 1.0))
-    try:
-        bath = BathSpec(t2)
-    except ValueError as e:
-        raise ConfigError(f"bath.temperature: {e}") from e
+    t2 = _twin(bath_raw, "bath", "temperature", 1.0, "temperature_si",
+               lambda v: us.to_internal(v, "temperature"))
+    bath = _call("bath.temperature", BathSpec, t2)
 
-    model_raw = _require_mapping(raw.get("model", dict(_DEFAULT_MODEL)), "model")
-    try:
-        model = model_from_dict(model_raw)
-    except (ValueError, KeyError) as e:
-        raise ConfigError(f"model: {e}") from e
+    model = _call("model", model_from_dict,
+                  _require_mapping(raw.get("model", dict(_DEFAULT_MODEL)), "model"))
 
-    quad_raw = _require_mapping(raw.get("quadrature", {}), "quadrature")
-    _reject_unknown(quad_raw, _QUAD_FIELDS, "quadrature")
-    quad_kwargs = {}
-    for key in _QUAD_FIELDS:
-        if key in quad_raw:
-            v = quad_raw[key]
-            if key in ("max_subdivisions", "inner_nodes"):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ConfigError(f"quadrature.{key}: expected an integer, got {v!r}")
-                quad_kwargs[key] = v
-            else:
-                quad_kwargs[key] = _num("quadrature", key, v)
-    try:
-        quad = QuadratureSpec(**quad_kwargs)
-    except ValueError as e:
-        raise ConfigError(f"quadrature: {e}") from e
-
-    ev_raw = _require_mapping(raw.get("evolve", {}), "evolve")
-    _reject_unknown(ev_raw, tuple(_EVOLVE_DEFAULTS), "evolve")
-    ev_kwargs = dict(_EVOLVE_DEFAULTS)
-    for key, v in ev_raw.items():
-        if key == "mode":
-            if not isinstance(v, str):
-                raise ConfigError(f"evolve.mode: expected a string, got {v!r}")
-            ev_kwargs[key] = v
-        elif key == "monitor":
-            if not isinstance(v, bool):
-                raise ConfigError(f"evolve.monitor: expected a boolean, got {v!r}")
-            ev_kwargs[key] = v
-        elif key in ("output_stride", "balance_substeps"):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ConfigError(f"evolve.{key}: expected an integer, got {v!r}")
-            ev_kwargs[key] = v
-        elif key in ("initial_step", "beta_stop") and v is None:
-            ev_kwargs[key] = None
-        else:
-            ev_kwargs[key] = _num("evolve", key, v)
-    try:
-        ev_cfg = EvolveConfig(**ev_kwargs)
-        ev_cfg.validate_against(quad)
-    except ValueError as e:
-        raise ConfigError(f"evolve: {e}") from e
+    quad = _call("quadrature", QuadratureSpec,
+                 **_dataclass_kwargs(raw, "quadrature", QuadratureSpec))
+    ev_cfg = _call("evolve", EvolveConfig,
+                   **{"t_end": 10.0, **_dataclass_kwargs(raw, "evolve", EvolveConfig)})
+    _call("evolve", ev_cfg.validate_against, quad)
 
     out_raw = _require_mapping(raw.get("output", {}), "output")
     _reject_unknown(out_raw, ("format", "target"), "output")
@@ -339,6 +302,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write(target: str, content: str | dict):
+    """Write CSV text, or a JSON document, to a file path or "-" (stdout).
+
+    JSON has sorted keys and must be strict: NaN and Infinity raise
+    instead of being written, so a value a command cannot define goes
+    out as null.
+    """
+    if not isinstance(content, str):
+        content = json.dumps(content, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if target == "-":
+        sys.stdout.write(content)
+    else:
+        Path(target).write_text(content)
+
+
 def write_output(rows, columns, fmt: str, target: str, json_extra: dict | None = None):
     """Serialize rows (dicts keyed by columns) as CSV or JSON to target.
 
@@ -350,15 +328,10 @@ def write_output(rows, columns, fmt: str, target: str, json_extra: dict | None =
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
+        _write(target, "\n".join(lines) + "\n")
     else:
-        doc = dict(json_extra or {})
-        doc["rows"] = [{c: row[c] for c in columns} for row in rows]
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if target == "-":
-        sys.stdout.write(text)
-    else:
-        Path(target).write_text(text)
+        rows = [{c: row[c] for c in columns} for row in rows]
+        _write(target, {**(json_extra or {}), "rows": rows})
 
 
 def _quantity_report(name: str, kind: str, q: Quantity, cfg: RunConfig) -> dict:
@@ -385,62 +358,29 @@ def _inputs_report(cfg: RunConfig) -> dict:
     }
 
 
-def _emit_scalars(cfg: RunConfig, fmt: str, reports: list[dict], command: str):
-    fmt = fmt or "json"
-    if fmt == "csv":
-        rows = [
-            {"observable": r["observable"], "value": r["value"], "error": r["error"]}
-            for r in reports
-        ]
-        write_output(rows, ("observable", "value", "error"), "csv", cfg.out_target)
-    else:
-        write_output(
-            reports,
-            tuple(reports[0].keys()),
-            "json",
-            cfg.out_target,
-            json_extra={"command": command, "inputs": _inputs_report(cfg)},
-        )
-
-
-def _cmd_scalar(command: str, cfg: RunConfig, fmt: str) -> int:
-    state, bath, model, quad = cfg.particle, cfg.bath, cfg.model, cfg.quadrature
-    if command == "force":
-        reports = [_quantity_report("force_lab", "force",
-                                    force_lab(state, bath, model, quad), cfg)]
-    elif command == "heat":
-        reports = [_quantity_report("heating_rate", "power",
-                                    heating_rate(state, bath, model, quad), cfg)]
-    elif command == "intensity":
-        net, emitted, absorbed = intensity(state, bath, model, quad)
+def _cmd_scalar(command: str, cfg: RunConfig) -> int:
+    """force, heat, intensity, restframe-force or equilibrium-temp at one point."""
+    state, rest = cfg.particle, (cfg.bath, cfg.model, cfg.quadrature)
+    if command == "intensity":
         reports = [
-            _quantity_report("intensity", "power", net, cfg),
-            _quantity_report("intensity_emitted", "power", emitted, cfg),
-            _quantity_report("intensity_absorbed", "power", absorbed, cfg),
+            _quantity_report(name, "power", q, cfg)
+            for name, q in zip(("intensity", "intensity_emitted", "intensity_absorbed"),
+                               intensity(state, *rest))
         ]
-    else:  # restframe-force
-        reports = [_quantity_report("force_rest_frame", "force",
-                                    force_rest_frame(state, bath, model, quad), cfg)]
-    _emit_scalars(cfg, fmt, reports, command)
-    return 0
-
-
-def _cmd_equilibrium(cfg: RunConfig, fmt: str) -> int:
-    t_star = equilibrium_temperature(cfg.particle.beta, cfg.bath, cfg.model, cfg.quadrature)
-    q = heating_rate(
-        ParticleState(cfg.particle.beta, cfg.particle.mass, t_star),
-        cfg.bath, cfg.model, cfg.quadrature,
-    )
-    report = {
-        "observable": "equilibrium_temperature",
-        "value": t_star,
-        "error": 0.0,
-        "value_si": cfg.units.from_internal(t_star, "temperature"),
-        "error_si": 0.0,
-        "si_unit": _SI_UNIT["temperature"],
-        "diagnostics": {"heating_rate_at_root": q.value, "heating_rate_error": q.error},
-    }
-    _emit_scalars(cfg, fmt, [report], "equilibrium-temp")
+    elif command == "equilibrium-temp":
+        t_star = equilibrium_temperature(state.beta, *rest)
+        q = heating_rate(ParticleState(state.beta, state.mass, t_star), *rest)
+        root = Quantity(t_star, 0.0,
+                        {"heating_rate_at_root": q.value, "heating_rate_error": q.error})
+        reports = [_quantity_report("equilibrium_temperature", "temperature", root, cfg)]
+    else:  # reported under the observable function's name, e.g. force_lab
+        kind, fn = _SWEEP_OBSERVABLES[command]
+        reports = [_quantity_report(fn.__name__, kind, fn(state, *rest), cfg)]
+    if cfg.out_format == "csv":
+        write_output(reports, ("observable", "value", "error"), "csv", cfg.out_target)
+    else:
+        write_output(reports, tuple(reports[0]), "json", cfg.out_target,
+                     json_extra={"command": command, "inputs": _inputs_report(cfg)})
     return 0
 
 
@@ -458,11 +398,10 @@ def _trajectory_rows(traj: Trajectory, stride: int) -> list[dict]:
     ]
 
 
-def _cmd_evolve(cfg: RunConfig, fmt: str) -> int:
+def _cmd_evolve(cfg: RunConfig) -> int:
     traj = evolve(cfg.particle, cfg.bath, cfg.model, cfg.thermo, cfg.evolve, cfg.quadrature)
     rows = _trajectory_rows(traj, cfg.evolve.output_stride)
-    fmt = fmt or "csv"
-    if fmt == "csv":
+    if cfg.out_format != "json":
         write_output(rows, EVOLVE_COLUMNS, "csv", cfg.out_target)
     else:
         us = cfg.units
@@ -479,7 +418,9 @@ def _cmd_evolve(cfg: RunConfig, fmt: str) -> int:
             "radiated_energy": traj.radiated_energy,
             # internal energy unit is hbar*omega_ref
             "radiated_energy_si_joule": traj.radiated_energy * HBAR * us.omega_ref,
-            "bookkeeping_residual": traj.bookkeeping_residual,
+            # NaN (fixed-velocity mode: no global energy bookkeeping) goes out as null
+            "bookkeeping_residual": (None if math.isnan(traj.bookkeeping_residual)
+                                     else traj.bookkeeping_residual),
             "rows_si": rows_si,
             "si_units": {c: _SI_UNIT.get(_EVOLVE_KINDS.get(c, ""), "") for c in EVOLVE_COLUMNS},
             "inputs": _inputs_report(cfg),
@@ -488,7 +429,9 @@ def _cmd_evolve(cfg: RunConfig, fmt: str) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, fmt: str) -> int:
+def _cmd_verify(cfg: RunConfig) -> int:
+    if cfg.out_format == "csv":
+        raise ConfigError("output.format: verify writes JSON only, got 'csv'")
     report = verify_all(cfg.particle, cfg.bath, cfg.model, cfg.quadrature)
     doc = report.to_dict()
     us = cfg.units
@@ -500,11 +443,7 @@ def _cmd_verify(cfg: RunConfig, fmt: str) -> int:
                 check[field + "_si"] = us.from_internal(check[field], kind)
     doc["command"] = "verify"
     doc["inputs"] = _inputs_report(cfg)
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if cfg.out_target == "-":
-        sys.stdout.write(text)
-    else:
-        Path(cfg.out_target).write_text(text)
+    _write(cfg.out_target, doc)
     return 0 if report.passed else 3
 
 
@@ -531,8 +470,7 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _cmd_sweep(cfg: RunConfig, fmt: str, observable: str, param: str,
-               grid: np.ndarray) -> int:
+def _cmd_sweep(cfg: RunConfig, observable: str, param: str, grid: np.ndarray) -> int:
     if observable not in _SWEEP_OBSERVABLES:
         raise ConfigError(
             f"--observable: unknown observable {observable!r}; expected one of "
@@ -541,18 +479,12 @@ def _cmd_sweep(cfg: RunConfig, fmt: str, observable: str, param: str,
     kind, fn = _SWEEP_OBSERVABLES[observable]
 
     def eval_point(value: float) -> tuple[float, float]:
-        beta, t1 = cfg.particle.beta, cfg.particle.temperature
-        t2 = cfg.bath.temperature
-        if param == "beta":
-            beta = value
-        elif param == "t1":
-            t1 = value
-        else:
-            t2 = value
-        state = ParticleState(beta, cfg.particle.mass, t1)
-        bath = BathSpec(t2)
+        point = {"beta": cfg.particle.beta, "t1": cfg.particle.temperature,
+                 "t2": cfg.bath.temperature, param: value}
+        state = ParticleState(point["beta"], cfg.particle.mass, point["t1"])
+        bath = BathSpec(point["t2"])
         if observable == "equilibrium-temp":
-            return equilibrium_temperature(beta, bath, cfg.model, cfg.quadrature), 0.0
+            return equilibrium_temperature(state.beta, bath, cfg.model, cfg.quadrature), 0.0
         if observable == "intensity":
             net, _, _ = intensity(state, bath, cfg.model, cfg.quadrature)
             return net.value, net.error
@@ -580,8 +512,7 @@ def _cmd_sweep(cfg: RunConfig, fmt: str, observable: str, param: str,
         {param: float(v), "value": val, "error": err}
         for v, (val, err) in zip(grid, results)
     ]
-    fmt = fmt or "csv"
-    if fmt == "csv":
+    if cfg.out_format != "json":
         write_output(rows, (param, "value", "error"), "csv", cfg.out_target)
     else:
         us = cfg.units
@@ -612,93 +543,85 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_common(p, with_evolve=False):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--output", help="output target path, or - for stdout")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--beta", help="particle speed in units of c")
-        p.add_argument("--velocity-si", help="particle speed in m/s")
-        p.add_argument("--t1", help="particle temperature, internal units")
-        p.add_argument("--t2", help="bath temperature, internal units")
-        if with_evolve:
-            p.add_argument("--t-end", help="integration horizon, internal time units")
-            p.add_argument("--mode", choices=("full", "quasi-static-T1", "fixed-velocity"))
-            p.add_argument("--stride", type=int, help="output every Nth accepted step")
-
     for name in ("force", "heat", "intensity", "restframe-force",
-                 "equilibrium-temp", "verify"):
-        add_common(sub.add_parser(name))
-    add_common(sub.add_parser("evolve"), with_evolve=True)
-    sweep = sub.add_parser("sweep")
-    add_common(sweep)
-    sweep.add_argument("--observable", required=True)
+                 "equilibrium-temp", "verify", "evolve", "sweep"):
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="JSON config file")
+        for dest, (section, _, _, options) in _FLAG_FIELDS.items():
+            if name == "evolve" or section != "evolve":
+                p.add_argument(_flag(dest), **options)
+        if name == "sweep":
+            p.add_argument("--observable", required=True)
     mint = sub.add_parser("mint-golden")
     mint.add_argument("--output", help="golden file path (default: golden/cases.jsonl)")
     return parser
 
 
-def _assemble_config(args) -> tuple[RunConfig, str | None, dict]:
+def _flag_number(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError as e:
+        raise ConfigError(f"{flag}: expected a number, got {text!r}") from e
+
+
+def _flag_point(text: str, flag: str) -> float:
+    """A particle or bath flag; start:stop:count ranges belong to sweep."""
+    if ":" in text:
+        raise ConfigError(f"{flag}: ranges are only valid for sweep")
+    return _flag_number(text, flag)
+
+
+# argparse dest -> (config section, field, value parser or None to keep the
+# text, argparse options).  Flags are listed, and override the config file,
+# in this order; evolve-section flags exist on `evolve` only.
+_FLAG_FIELDS = {
+    "output": ("output", "target", None, {"help": "output target path, or - for stdout"}),
+    "format": ("output", "format", None, {"choices": ("csv", "json"), "help": "output format"}),
+    "beta": ("particle", "beta", _flag_point, {"help": "particle speed in units of c"}),
+    "velocity_si": ("particle", "velocity_si", _flag_point, {"help": "particle speed in m/s"}),
+    "t1": ("particle", "temperature", _flag_point,
+           {"help": "particle temperature, internal units"}),
+    "t2": ("bath", "temperature", _flag_point, {"help": "bath temperature, internal units"}),
+    "t_end": ("evolve", "t_end", _flag_number,
+              {"help": "integration horizon, internal time units"}),
+    "mode": ("evolve", "mode", None, {"choices": MODES}),
+    "stride": ("evolve", "output_stride", None,
+               {"type": int, "help": "output every Nth accepted step"}),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _assemble_config(args) -> tuple[RunConfig, dict]:
     """Merge the config file with command-line overrides.
 
-    Returns (config, format, sweep ranges keyed by param name).
+    Returns (config, sweep ranges keyed by param name).
     """
     raw: dict = {}
     if args.config:
         raw = _read_config_file(args.config)
+    if args.beta is not None and args.velocity_si is not None:
+        raise ConfigError("--velocity-si: conflicts with --beta; give one")
 
     sweeps: dict[str, np.ndarray] = {}
-
-    def set_scalar(flag_value, flag, section, key):
-        if ":" in flag_value:
-            raise ConfigError(f"{flag}: ranges are only valid for sweep")
-        try:
-            value = float(flag_value)
-        except ValueError as e:
-            raise ConfigError(f"{flag}: expected a number, got {flag_value!r}") from e
-        raw.setdefault(section, {})[key] = value
-
-    allow_range = args.command == "sweep"
-    if getattr(args, "beta", None) is not None and getattr(args, "velocity_si", None) is not None:
-        raise ConfigError("--velocity-si: conflicts with --beta; give one")
-    if getattr(args, "beta", None) is not None:
-        if allow_range and ":" in args.beta:
-            sweeps["beta"] = _parse_range(args.beta, "--beta")
+    for dest, (section, key, parse, _) in _FLAG_FIELDS.items():
+        text = getattr(args, dest, None)
+        if text is None:
+            continue
+        if args.command == "sweep" and dest in ("beta", "t1", "t2") and ":" in text:
+            sweeps[dest] = _parse_range(text, _flag(dest))
         else:
-            set_scalar(args.beta, "--beta", "particle", "beta")
-    if getattr(args, "velocity_si", None) is not None:
-        set_scalar(args.velocity_si, "--velocity-si", "particle", "velocity_si")
-        raw.get("particle", {}).pop("beta", None)
-    if getattr(args, "t1", None) is not None:
-        if allow_range and ":" in args.t1:
-            sweeps["t1"] = _parse_range(args.t1, "--t1")
-        else:
-            set_scalar(args.t1, "--t1", "particle", "temperature")
-    if getattr(args, "t2", None) is not None:
-        if allow_range and ":" in args.t2:
-            sweeps["t2"] = _parse_range(args.t2, "--t2")
-        else:
-            set_scalar(args.t2, "--t2", "bath", "temperature")
-    if getattr(args, "t_end", None) is not None:
-        try:
-            raw.setdefault("evolve", {})["t_end"] = float(args.t_end)
-        except ValueError as e:
-            raise ConfigError(f"--t-end: expected a number, got {args.t_end!r}") from e
-    if getattr(args, "mode", None) is not None:
-        raw.setdefault("evolve", {})["mode"] = args.mode
-    if getattr(args, "stride", None) is not None:
-        raw.setdefault("evolve", {})["output_stride"] = args.stride
-    if getattr(args, "output", None) is not None:
-        raw.setdefault("output", {})["target"] = args.output
-    if getattr(args, "format", None) is not None:
-        raw.setdefault("output", {})["format"] = args.format
+            raw.setdefault(section, {})[key] = parse(text, _flag(dest)) if parse else text
 
-    # beta=... flag override must supersede a config-file velocity_si
-    if "particle" in raw and "beta" in raw["particle"] and "velocity_si" in raw["particle"]:
-        if getattr(args, "beta", None) is not None:
-            raw["particle"].pop("velocity_si")
-
-    cfg = load_config(raw)
-    return cfg, raw.get("output", {}).get("format"), sweeps
+    # A speed flag supersedes the config file's other speed field.
+    particle = raw.get("particle", {})
+    if args.velocity_si is not None:
+        particle.pop("beta", None)
+    elif args.beta is not None and "beta" in particle:
+        particle.pop("velocity_si", None)
+    return load_config(raw), sweeps
 
 
 def run(argv=None) -> int:
@@ -717,32 +640,23 @@ def run(argv=None) -> int:
     try:
         if args.command == "mint-golden":
             return _cmd_mint_golden(args.output)
-        cfg, fmt, sweeps = _assemble_config(args)
+        cfg, sweeps = _assemble_config(args)
         if args.command == "sweep":
             if len(sweeps) != 1:
                 raise ConfigError(
                     "sweep: exactly one of --beta/--t1/--t2 must be a start:stop:count range"
                 )
             (param, grid), = sweeps.items()
-            return _cmd_sweep(cfg, fmt, args.observable, param, grid)
-        if sweeps:
-            raise ConfigError(f"{args.command}: range arguments are only valid for sweep")
-        if args.command in ("force", "heat", "intensity", "restframe-force"):
-            return _cmd_scalar(args.command, cfg, fmt)
-        if args.command == "equilibrium-temp":
-            return _cmd_equilibrium(cfg, fmt)
+            return _cmd_sweep(cfg, args.observable, param, grid)
         if args.command == "evolve":
-            return _cmd_evolve(cfg, fmt)
+            return _cmd_evolve(cfg)
         if args.command == "verify":
-            return _cmd_verify(cfg, fmt)
-        raise ConfigError(f"unknown subcommand {args.command!r}")
-    except ConfigError as e:
-        sys.stderr.write(f"bbdrag: input error: {e}\n")
-        return 1
+            return _cmd_verify(cfg)
+        return _cmd_scalar(args.command, cfg)
     except (QuadratureConvergenceError, DynamicsError, BracketError, OracleError) as e:
         sys.stderr.write(f"bbdrag: numerical failure: {e}\n")
         return 2
-    except ValueError as e:
+    except ValueError as e:  # ConfigError included
         sys.stderr.write(f"bbdrag: input error: {e}\n")
         return 1
 

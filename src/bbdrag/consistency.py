@@ -10,6 +10,9 @@ reproduce to quadrature accuracy:
                        drag combination carries no T1 dependence
 * dual rest force:     the direct and transformed rest-force integrals
                        agree (change of variables w' = gamma*w*(1+bx))
+* intensity split:     net intensity = P(T1) - I2, where the emitted
+                       power I1 equals the rest-frame emission
+                       P(T1) = (4/pi) Int w^4 a''(w) n(w, T1) dw at any beta
 * closed inner forms:  Int x(1+bx)^-3 dx = -2*beta*gamma^4 and
                        Int (1+bx)^-2 dx = 2*gamma^2 over [-1, 1]
 
@@ -157,11 +160,15 @@ class SpontaneousTerms:
     the particle temperature from the drag combination.  reduced_force
     re-derives force_term through the 1D change-of-variables form
     -(4*beta/pi) Int w^4 a''(w) n(w, T1) dw as an independent check.
+    emitted_power is P(T1) = (4/pi) Int w^4 a''(w) n(w, T1) dw, the
+    power the particle emits in its rest frame, from the same 1D
+    integral (exact 0 at T1 = 0).
     """
 
     force_term: Quantity
     drift_term: Quantity
     reduced_force: float
+    emitted_power: Quantity
     cancellation: IdentityCheck
     reduction: IdentityCheck
 
@@ -185,6 +192,17 @@ def spontaneous_term_cancellation(
     b, t1 = state.beta, state.temperature
     g = lorentz_gamma(b)
 
+    if t1 == 0.0:
+        power = Quantity(0.0, 0.0, {"short_circuit": "no emission at T1 = 0"})
+    else:
+
+        def reduced_integrand(om):
+            return om**4 * alpha_im(model, om) * bose_occupation(om, t1)
+
+        cut = omega_cutoff(0.0, t1, 0.0, spec.u_max)
+        q1 = integrate_1d(reduced_integrand, 0.0, cut, spec, seeds=breakpoints(model))
+        power = Quantity((4.0 / math.pi) * q1.value, (4.0 / math.pi) * q1.error)
+
     if t1 == 0.0 or b == 0.0:
         reason = "no spontaneous term at T1 = 0" if t1 == 0.0 else "odd/zero at beta = 0"
         force_term = Quantity(0.0, 0.0, {"short_circuit": reason})
@@ -198,13 +216,6 @@ def spontaneous_term_cancellation(
         drift_term = Quantity(
             -_PREF * g**3 * b * _negated(qd.value), _PREF * g**3 * b * qd.error
         )
-
-        def reduced_integrand(om):
-            return om**4 * alpha_im(model, om) * bose_occupation(om, t1)
-
-        cut = omega_cutoff(0.0, t1, 0.0, spec.u_max)
-        seeds_1d = breakpoints(model)
-        q1 = integrate_1d(reduced_integrand, 0.0, cut, spec, seeds=seeds_1d)
         reduced = -(4.0 * b / math.pi) * q1.value
 
     cancellation = _residual_check(
@@ -220,7 +231,7 @@ def spontaneous_term_cancellation(
         reduced,
         force_term.error,
     )
-    return SpontaneousTerms(force_term, drift_term, reduced, cancellation, reduction)
+    return SpontaneousTerms(force_term, drift_term, reduced, power, cancellation, reduction)
 
 
 def inner_closed_forms(
@@ -249,13 +260,14 @@ def verify_all(
     Aggregates: energy balance, frame-force relation, spontaneous-term
     cancellation and its 1D reduction, dual-form rest force, the
     equality of the drag combination with its F_x / Qdot composition,
-    the exact intensity split, and the sign constraints on the drag and
-    rest-frame force.
+    the intensity split against the rest-frame emitted power (the 1D
+    integral of the spontaneous-term reduction, evaluated once), and
+    the sign constraints on the drag and rest-frame force.
     """
     b = state.beta
     f = force_lab(state, bath, model, spec)
     q = heating_rate(state, bath, model, spec)
-    net, emitted, absorbed = intensity(state, bath, model, spec)
+    net, _, absorbed = intensity(state, bath, model, spec)
     fp = force_rest_frame(state, bath, model, spec)
     drag = drag_combination(state, bath, model, spec)
     spont = spontaneous_term_cancellation(state, bath, model, spec)
@@ -269,11 +281,14 @@ def verify_all(
         # the drag already in hand is the transformed rest-force integral.
         _residual_check("rest-force-dual-form", fp.value, drag.value, fp.error, drag.error),
         _frame_force("drag-composition", b, drag, f, q),
+        # net = I1 - I2 with the 2D-quadrature I1 against the 1D P(T1)
         _residual_check(
             "intensity-split",
             net.value,
-            emitted.value - absorbed.value,
+            spont.emitted_power.value - absorbed.value,
             net.error,
+            spont.emitted_power.error,
+            absorbed.error,
         ),
         _sign_check("drag-sign", drag),
         _sign_check("rest-force-sign", fp),

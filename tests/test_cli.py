@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from bbdrag import IdentityCheck
 from bbdrag.cli import ConfigError, load_config, run
+from bbdrag.dynamics import EvolveConfig
+from bbdrag.kernels import QuadratureSpec
 
 EVOLVE_HEADER = "t,beta,m,T1,F_x,Qdot,I,balance_residual"
 
@@ -42,6 +45,12 @@ def test_empty_config_yields_documented_defaults():
     assert cfg.bath.temperature == 1.0
     assert type(cfg.model).__name__ == "Ohmic"
     assert cfg.units.reference_temperature == 300.0
+    assert cfg.evolve == EvolveConfig(t_end=10.0)
+    assert cfg.quadrature == QuadratureSpec()
+    assert cfg.thermo.specific_heat == 1e-8
+    assert cfg.radius is None
+    assert cfg.out_format is None  # each command picks its own default
+    assert cfg.out_target == "-"
 
 
 def test_velocity_si_converts_to_beta():
@@ -80,6 +89,22 @@ def test_invalid_values_name_the_field_path():
         load_config({"quadrature": {"rel_tol": -1.0}})
     with pytest.raises(ConfigError, match="evolve"):
         load_config({"evolve": {"mode": "sideways"}})
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        ({"particle": {"mass_si": math.inf}}, "particle.mass_si"),
+        ({"particle": {"temperature_si": math.inf}}, "particle.temperature_si"),
+        ({"bath": {"temperature_si": math.nan}}, "bath.temperature_si"),
+        ({"particle": {"radius_si": math.inf}}, "particle.radius_si"),
+        ({"particle": {"radius": math.inf}}, "particle.radius"),
+    ],
+)
+def test_non_finite_twin_values_name_the_field_path(raw, path):
+    # JSON's Infinity and NaN parse to these floats
+    with pytest.raises(ConfigError, match=rf"^{path}: "):
+        load_config(raw)
 
 
 def test_parse_error_reports_line_and_column(tmp_path):
@@ -270,6 +295,28 @@ def test_evolve_json_carries_energy_ledger(tmp_path, capsys):
     assert "rows_si" in doc and "si_units" in doc
 
 
+# C_s*T1 = 0.75 here: the rest-mass-feedback advisory fires by design.
+@pytest.mark.filterwarnings("ignore:C_s\\*T1:UserWarning")
+def test_evolve_fixed_velocity_json_is_strict(tmp_path, capsys):
+    """The undefined bookkeeping residual of a fixed-velocity run is null, not NaN."""
+    path = write_cfg(
+        tmp_path,
+        {
+            **TOPHAT_CFG,
+            "particle": {"beta": 0.3, "temperature": 1.5, "specific_heat": 0.5},
+            "evolve": {"t_end": 0.2, "mode": "fixed-velocity"},
+        },
+    )
+    assert run(["evolve", "--config", path, "--format", "json", "--output", "-"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["bookkeeping_residual"] is None
+    assert doc["radiated_energy"] > 0.0
+
+
 # This config runs with C_s*T1 = 0.015, so the rest-mass-feedback advisory
 # fires by design; acknowledge it rather than letting it pollute the run.
 @pytest.mark.filterwarnings("ignore:C_s\\*T1:UserWarning")
@@ -309,6 +356,16 @@ def test_verify_passes_and_reports_si_residuals(tmp_path, capsys):
     for check in doc["checks"]:
         assert check["passed"] is True
         assert "residual_si" in check and "si_unit" in check
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_rejects_csv(tmp_path, capsys, source):
+    cfg = {**TOPHAT_CFG, "output": {"format": "csv"}} if source == "config" else TOPHAT_CFG
+    argv = ["verify", "--config", write_cfg(tmp_path, cfg), "--output", "-"]
+    assert run(argv + (["--format", "csv"] if source == "flag" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: output.format:" in captured.err
 
 
 # -------------------------------------------------------------------- sweep

@@ -137,3 +137,45 @@ def test_energy_and_frame_checks_expose_their_pieces():
         assert c.passed
         assert c.residual == abs(c.lhs - c.rhs)
         assert c.tolerance >= 10.0 * c.combined_error
+
+
+def test_intensity_split_catches_a_wrong_emitted_power(monkeypatch):
+    """The split compares net intensity with the 1D rest-frame power P(T1) - I2.
+
+    Scaling the 2D emitted power, and the net with it, by 1 + 1e-6 keeps
+    net = emitted - absorbed exact, yet must fail against P(T1).
+    """
+    import bbdrag.consistency as consistency
+    from bbdrag.observables import Quantity
+
+    original = consistency.intensity
+
+    def skewed(*args, **kwargs):
+        net, emitted, absorbed = original(*args, **kwargs)
+        bumped = Quantity(emitted.value * (1.0 + 1e-6), emitted.error)
+        return Quantity(bumped.value - absorbed.value, net.error), bumped, absorbed
+
+    state = ParticleState(beta=0.6, mass=1.0, temperature=3.0)
+    bath = BathSpec(1.0)
+    honest = verify_all(state, bath, REFERENCE_MODELS[0], SPEC)
+    assert next(c for c in honest.checks if c.name == "intensity-split").passed
+    monkeypatch.setattr(consistency, "intensity", skewed)
+    report = verify_all(state, bath, REFERENCE_MODELS[0], SPEC)
+    split = next(c for c in report.checks if c.name == "intensity-split")
+    assert not split.passed
+    assert split.residual > 100.0 * split.tolerance
+
+
+def test_emitted_power_matches_the_reduced_force():
+    """P(T1) is the 1D integral behind the reduction: reduced_force = -beta * P."""
+    bath = BathSpec(1.0)
+    for model in REFERENCE_MODELS:
+        terms = spontaneous_term_cancellation(
+            ParticleState(beta=0.7, mass=1.0, temperature=2.0), bath, model, SPEC
+        )
+        assert terms.emitted_power.value > 0.0
+        assert terms.reduced_force == pytest.approx(-0.7 * terms.emitted_power.value, rel=1e-14)
+    cold = spontaneous_term_cancellation(
+        ParticleState(beta=0.7, mass=1.0, temperature=0.0), bath, REFERENCE_MODELS[0], SPEC
+    )
+    assert cold.emitted_power.value == 0.0 and cold.emitted_power.error == 0.0
