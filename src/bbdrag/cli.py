@@ -163,12 +163,13 @@ def _read_config_file(source):
     return _require_mapping(raw, "config")
 
 
-def _twin(d, section, key, default, si_key, from_si):
+def _twin(d, section, key, default, si_key, from_si, check):
     """Internal-unit value of a field given as `key` or as its SI twin `si_key`.
 
     Giving both is an error.  The value must be a finite number, or null
     when the default is None (the field is then unset); from_si converts
-    an SI value.  Every error names the key that was given.
+    an SI value and check(value) raises ValueError for an internal value
+    out of range.  Every error names the key that was given.
     """
     if key in d and si_key in d:
         raise ConfigError(f"{section}.{si_key}: conflicts with {section}.{key}; give one")
@@ -181,9 +182,16 @@ def _twin(d, section, key, default, si_key, from_si):
     try:
         if not math.isfinite(value):
             raise ValueError(f"expected a finite number, got {value!r}")
-        return from_si(value) if name == si_key else value
+        value = from_si(value) if name == si_key else value
+        check(value)
+        return value
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
+
+
+def _positive(value):
+    if not value > 0.0:
+        raise ValueError(f"must be positive, got {value!r}")
 
 
 def _call(path, fn, *args, **kwargs):
@@ -245,31 +253,24 @@ def load_config(source) -> RunConfig:
          "specific_heat", "radius", "radius_si"),
         "particle",
     )
-    beta = _twin(part, "particle", "beta", 0.0, "velocity_si", beta_from_velocity)
+    # ParticleState validates each field; the others are given valid values.
+    beta = _twin(part, "particle", "beta", 0.0, "velocity_si", beta_from_velocity,
+                 lambda v: ParticleState(v, 1.0, 0.0))
     mass = _twin(part, "particle", "mass", 1.0, "mass_si",
-                 lambda v: us.to_internal(v, "mass"))
+                 lambda v: us.to_internal(v, "mass"), lambda v: ParticleState(0.0, v, 0.0))
     t1 = _twin(part, "particle", "temperature", 1.0, "temperature_si",
-               lambda v: us.to_internal(v, "temperature"))
-    try:
-        state = ParticleState(beta, mass, t1)
-    except ValueError as e:
-        msg = str(e)
-        field = "particle.beta" if "beta" in msg else (
-            "particle.mass" if "mass" in msg else "particle.temperature")
-        raise ConfigError(f"{field}: {msg}") from e
+               lambda v: us.to_internal(v, "temperature"), lambda v: ParticleState(0.0, 1.0, v))
+    state = ParticleState(beta, mass, t1)
     thermo = _call("particle.specific_heat", MaterialThermo,
                    _num("particle.specific_heat", part.get("specific_heat", 1e-8)))
     # length in internal units is c/omega_ref
     radius = _twin(part, "particle", "radius", None, "radius_si",
-                   lambda v: v * us.omega_ref / C_LIGHT)
-    if radius is not None and radius <= 0.0:
-        raise ConfigError(f"particle.radius: must be positive, got {radius!r}")
+                   lambda v: v * us.omega_ref / C_LIGHT, _positive)
 
     bath_raw = _require_mapping(raw.get("bath", {}), "bath")
     _reject_unknown(bath_raw, ("temperature", "temperature_si"), "bath")
-    t2 = _twin(bath_raw, "bath", "temperature", 1.0, "temperature_si",
-               lambda v: us.to_internal(v, "temperature"))
-    bath = _call("bath.temperature", BathSpec, t2)
+    bath = BathSpec(_twin(bath_raw, "bath", "temperature", 1.0, "temperature_si",
+                          lambda v: us.to_internal(v, "temperature"), BathSpec))
 
     model = _call("model", model_from_dict,
                   _require_mapping(raw.get("model", dict(_DEFAULT_MODEL)), "model"))
@@ -571,6 +572,9 @@ def _flag_point(text: str, flag: str) -> float:
     return _flag_number(text, flag)
 
 
+# A particle or bath flag supersedes the config file's twin of its field.
+_FLAG_TWINS = {"beta": "velocity_si", "velocity_si": "beta", "temperature": "temperature_si"}
+
 # argparse dest -> (config section, field, value parser or None to keep the
 # text, argparse options).  Flags are listed, and override the config file,
 # in this order; evolve-section flags exist on `evolve` only.
@@ -613,14 +617,9 @@ def _assemble_config(args) -> tuple[RunConfig, dict]:
         if args.command == "sweep" and dest in ("beta", "t1", "t2") and ":" in text:
             sweeps[dest] = _parse_range(text, _flag(dest))
         else:
-            raw.setdefault(section, {})[key] = parse(text, _flag(dest)) if parse else text
-
-    # A speed flag supersedes the config file's other speed field.
-    particle = raw.get("particle", {})
-    if args.velocity_si is not None:
-        particle.pop("beta", None)
-    elif args.beta is not None and "beta" in particle:
-        particle.pop("velocity_si", None)
+            fields = _require_mapping(raw.setdefault(section, {}), section)
+            fields.pop(_FLAG_TWINS.get(key), None)
+            fields[key] = parse(text, _flag(dest)) if parse else text
     return load_config(raw), sweeps
 
 

@@ -28,7 +28,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .kernels import QuadratureSpec, bose_occupation, integrate_1d, lorentz_gamma, omega_cutoff
+from .kernels import QuadratureSpec, integrate_1d, lorentz_gamma
+from .kernels import bose_occupation  # noqa: F401 -- perfbench's tracer patches it by name
 from .kernels import integrate_omega_x  # noqa: F401 -- perfbench's tracer patches it by name
 from .observables import (
     DEFAULT_QUADRATURE,
@@ -36,6 +37,7 @@ from .observables import (
     ParticleState,
     Quantity,
     _doppler_integral,
+    _emitted_power,
     _negated,
     drag_combination,
     force_lab,
@@ -44,7 +46,8 @@ from .observables import (
     heating_rate,
     intensity,
 )
-from .polarizability import PolarizabilityModel, alpha_im, breakpoints
+from .polarizability import PolarizabilityModel
+from .polarizability import alpha_im  # noqa: F401 -- perfbench's tracer patches it by name
 
 ABS_FLOOR = 1e-12
 
@@ -157,12 +160,11 @@ class SpontaneousTerms:
     force_term: the T1-dependent part of the lab force; drift_term: the
     T1-dependent part of gamma^2*beta*Qdot.  Equality of the two (both
     evaluated by direct 2D quadrature) is what removes every trace of
-    the particle temperature from the drag combination.  reduced_force
-    re-derives force_term through the 1D change-of-variables form
-    -(4*beta/pi) Int w^4 a''(w) n(w, T1) dw as an independent check.
-    emitted_power is P(T1) = (4/pi) Int w^4 a''(w) n(w, T1) dw, the
-    power the particle emits in its rest frame, from the same 1D
-    integral (exact 0 at T1 = 0).
+    the particle temperature from the drag combination.  emitted_power
+    is the rest-frame emission P(T1) = (4/pi) Int w^4 a''(w) n(w, T1) dw
+    (observables._emitted_power; exact 0 at T1 = 0), and reduced_force
+    re-derives force_term as its change-of-variables form -beta*P(T1),
+    an independent check.
     """
 
     force_term: Quantity
@@ -191,17 +193,7 @@ def spontaneous_term_cancellation(
     """
     b, t1 = state.beta, state.temperature
     g = lorentz_gamma(b)
-
-    if t1 == 0.0:
-        power = Quantity(0.0, 0.0, {"short_circuit": "no emission at T1 = 0"})
-    else:
-
-        def reduced_integrand(om):
-            return om**4 * alpha_im(model, om) * bose_occupation(om, t1)
-
-        cut = omega_cutoff(0.0, t1, 0.0, spec.u_max)
-        q1 = integrate_1d(reduced_integrand, 0.0, cut, spec, seeds=breakpoints(model))
-        power = Quantity((4.0 / math.pi) * q1.value, (4.0 / math.pi) * q1.error)
+    power = _emitted_power(t1, model, spec)
 
     if t1 == 0.0 or b == 0.0:
         reason = "no spontaneous term at T1 = 0" if t1 == 0.0 else "odd/zero at beta = 0"
@@ -216,7 +208,7 @@ def spontaneous_term_cancellation(
         drift_term = Quantity(
             -_PREF * g**3 * b * _negated(qd.value), _PREF * g**3 * b * qd.error
         )
-        reduced = -(4.0 * b / math.pi) * q1.value
+        reduced = -b * power.value
 
     cancellation = _residual_check(
         "spontaneous-term-cancellation",

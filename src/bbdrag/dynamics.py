@@ -22,7 +22,9 @@ substates may be sampled between accepted steps (``balance_substeps``)
 to refine that trapezoid without constraining the step controller.
 
 Modes: ``full`` integrates all three variables; ``quasi-static-T1``
-pins T1 = T1*(beta) (the zero of Qdot) and integrates (beta, m),
+pins T1 = T1*(beta), the zero of Qdot(T1) = Qdot(0) - P(T1)/gamma^2
+(one bath-only heating integral, then the root of the monotone 1D
+rest-frame emission P), and integrates (beta, m),
 removing the fast thermal timescale; ``fixed-velocity`` holds beta and
 integrates (m, T1), the fixed-speed heating problem.  Global energy
 bookkeeping applies to full and quasi-static trajectories; a
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,6 +52,7 @@ from .observables import (
     ParticleState,
     Quantity,
     _doppler_integral,
+    _emitted_power,
     _negated,
     drag_combination,
     heating_rate,
@@ -240,13 +243,14 @@ def _equilibrium_cached(
     blue = math.sqrt((1.0 + beta) / (1.0 - beta))
     lo = t2 / blue
     hi = t2 * blue
-    bath = BathSpec(t2)
+    g2 = lorentz_gamma(beta) ** 2
+    absorbed = heating_rate(ParticleState(beta, 1.0, 0.0), BathSpec(t2), model, spec).value
 
-    def qdot(t1: float, qspec: QuadratureSpec) -> float:
-        return heating_rate(ParticleState(beta, 1.0, t1), bath, model, qspec).value
+    def qdot(t1: float) -> float:
+        return absorbed - _emitted_power(t1, model, spec).value / g2
 
-    q_lo = qdot(lo, spec)
-    q_hi = qdot(hi, spec)
+    q_lo = qdot(lo)
+    q_hi = qdot(hi)
     if not (q_lo > 0.0 > q_hi):
         raise BracketError(
             "equilibrium temperature not bracketed: "
@@ -254,15 +258,7 @@ def _equilibrium_cached(
             "(need positive at the red-shifted bound, negative at the "
             "blue-shifted bound; a null model has no root)"
         )
-    # Near the root the net heating vanishes while the gross spectral mass
-    # does not, so resolving Qdot to the caller's abs_tol there buys no
-    # root accuracy, only panels.  A fraction of the bracket-end scale is
-    # enough to bound the temperature error well inside rel_tol.
-    root_abs = max(spec.abs_tol, 0.1 * rel_tol * max(abs(q_lo), abs(q_hi)))
-    root_spec = replace(spec, abs_tol=root_abs)
-    return float(
-        brentq(lambda t1: qdot(t1, root_spec), lo, hi, xtol=1e-14 * hi, rtol=rel_tol)
-    )
+    return float(brentq(qdot, lo, hi, xtol=1e-14 * hi, rtol=rel_tol))
 
 
 def equilibrium_temperature(
@@ -274,10 +270,13 @@ def equilibrium_temperature(
 ) -> float:
     """Proper temperature T1* at which the net heating vanishes.
 
-    The root is bracketed by the extreme Doppler temperatures
-    T2*sqrt((1-b)/(1+b)) and T2*sqrt((1+b)/(1-b)): at those values the
-    occupation comparison is one-sided for every direction, so Qdot has
-    opposite strict signs at the ends for any nonzero passive model.
+    Solved on the exact split Qdot(T1) = Qdot(0) - P(T1)/gamma^2: one
+    bath-only heating integral, then the root of the monotone 1D
+    rest-frame emission P(T1).  The root is bracketed by the extreme
+    Doppler temperatures T2*sqrt((1-b)/(1+b)) and T2*sqrt((1+b)/(1-b)):
+    at those values the occupation comparison is one-sided for every
+    direction, so Qdot has opposite strict signs at the ends for any
+    nonzero passive model.
     """
     g = lorentz_gamma(beta)  # validates beta
     del g

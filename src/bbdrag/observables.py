@@ -204,6 +204,23 @@ def _doppler_integral(
     return integrate_omega_x(kern, t1, t2, beta, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
 
 
+def _emitted_power(t1: float, model: PolarizabilityModel, spec: QuadratureSpec) -> Quantity:
+    """P(T1) = (4/pi) Int w^4 a''(w) n(w, T1) dw, the rest-frame emitted power.
+
+    In exact arithmetic T1 enters the observables only through P: the
+    emitted intensity I1 is P(T1) at any beta and Qdot(T1) = Qdot(0) - P(T1)/gamma^2.
+    """
+    cut = omega_cutoff(0.0, t1, 0.0, spec.u_max) if t1 > 0.0 else 0.0
+    if cut < _OMEGA_DOMAIN_FLOOR:
+        return _zero("no emission: T1 is 0 or its domain underflows")
+
+    def integrand(om):
+        return om**4 * alpha_im(model, om) * bose_occupation(om, t1)
+
+    q = integrate_1d(integrand, 0.0, cut, spec, seeds=breakpoints(model))
+    return Quantity((4.0 / math.pi) * q.value, (4.0 / math.pi) * q.error)
+
+
 def force_lab(
     state: ParticleState,
     bath: BathSpec,

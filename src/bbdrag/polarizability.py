@@ -201,10 +201,8 @@ def model_from_dict(data: dict) -> PolarizabilityModel:
     if not isinstance(data, dict):
         raise ValueError(f"model must be an object with a 'type' tag, got {data!r}")
     tag = data.get("type")
-    if tag not in _MODEL_TAGS:
-        raise ValueError(
-            f"unknown model type {tag!r}; expected one of {sorted(_MODEL_TAGS)}"
-        )
+    if not isinstance(tag, str) or tag not in _MODEL_TAGS:
+        raise ValueError(f"model.type must be one of {sorted(_MODEL_TAGS)}, got {tag!r}")
     cls = _MODEL_TAGS[tag]
     fields = _MODEL_FIELDS[cls]
     extra = set(data) - {"type", *fields}

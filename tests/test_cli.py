@@ -91,6 +91,17 @@ def test_invalid_values_name_the_field_path():
         load_config({"evolve": {"mode": "sideways"}})
 
 
+def test_negative_velocity_si_is_reported_under_its_own_path():
+    with pytest.raises(ConfigError, match=r"^particle\.velocity_si: beta must lie in"):
+        load_config({"particle": {"velocity_si": -1e8}})
+
+
+def test_non_string_model_type_exits_1(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"model": {"type": ["ohmic"]}})
+    assert run(["force", "--config", path]) == 1
+    assert "input error: model: model.type must be one of" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "raw, path",
     [
@@ -240,6 +251,22 @@ def test_flags_override_config_file(tmp_path, capsys):
     doc = run_json(["heat", "--config", path, "--t1", "2.0"], tmp_path, capsys)
     assert doc["inputs"]["temperature_particle"] == 2.0
     assert doc["inputs"]["model_kind"] == "TopHat"  # file still supplies the model
+
+
+@pytest.mark.parametrize(
+    "flag, section, field",
+    [("--t1", "particle", "temperature_particle"), ("--t2", "bath", "temperature_bath")],
+)
+def test_temperature_flags_supersede_the_si_twin(tmp_path, capsys, flag, section, field):
+    path = write_cfg(tmp_path, {section: {"temperature_si": 450.0}})
+    doc = run_json(["heat", "--config", path, flag, "0.5"], tmp_path, capsys)
+    assert doc["inputs"][field] == 0.5
+
+
+def test_flag_into_a_non_object_section_exits_1(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"particle": 5})
+    assert run(["force", "--config", path, "--beta", "0.5"]) == 1
+    assert "input error: particle: expected a JSON object" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ evolve

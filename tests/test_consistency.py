@@ -179,3 +179,12 @@ def test_emitted_power_matches_the_reduced_force():
         ParticleState(beta=0.7, mass=1.0, temperature=0.0), bath, REFERENCE_MODELS[0], SPEC
     )
     assert cold.emitted_power.value == 0.0 and cold.emitted_power.error == 0.0
+
+
+def test_verify_passes_at_the_smallest_subnormal_particle_temperature():
+    """Below the integration-domain floor P(T1) is an exact 0, as every observable is."""
+    state = ParticleState(beta=0.5, mass=1.0, temperature=5e-324)
+    bath = BathSpec(1.0)
+    for model in REFERENCE_MODELS:
+        assert spontaneous_term_cancellation(state, bath, model, SPEC).emitted_power.value == 0.0
+        assert verify_all(state, bath, model, SPEC).passed

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -27,7 +28,10 @@ from bbdrag import (
     intensity,
     lorentz_gamma,
 )
+from bbdrag import dynamics
 from bbdrag.dynamics import _net_intensity
+
+from conftest import REFERENCE_MODELS
 
 SPEC = QuadratureSpec()
 BAND = TopHat(amplitude=1.0, omega1=0.5, omega2=1.5)
@@ -97,14 +101,38 @@ def test_equilibrium_is_bath_temperature_at_rest():
 
 
 def test_equilibrium_zeroes_the_heating_rate():
-    for beta in (0.3, 0.7):
-        t_eq = equilibrium_temperature(beta, BATH, BAND, SPEC, rel_tol=1e-10)
+    """The full 2D Qdot at the root found on the T1 split checks it independently."""
+    for model, beta in itertools.product(REFERENCE_MODELS, (0.01, 0.3, 0.7, 0.9)):
+        t_eq = equilibrium_temperature(beta, BATH, model, SPEC, rel_tol=1e-10)
         state = ParticleState(beta=beta, mass=1.0, temperature=t_eq)
-        q = heating_rate(state, BATH, BAND, SPEC)
+        q = heating_rate(state, BATH, model, SPEC)
         scale = abs(heating_rate(
-            ParticleState(beta, 1.0, 0.0), BATH, BAND, SPEC
+            ParticleState(beta, 1.0, 0.0), BATH, model, SPEC
         ).value)
         assert abs(q.value) <= max(1e-8 * scale, 10.0 * q.error)
+
+
+def test_equilibrium_solve_evaluates_one_heating_integral(monkeypatch):
+    """A cold solve evaluates the 2D Qdot once, at T1 = 0; the rest is 1D P(T1)."""
+    calls = []
+
+    def counted(state, *args):
+        calls.append(state.temperature)
+        return heating_rate(state, *args)
+
+    monkeypatch.setattr(dynamics, "heating_rate", counted)
+    dynamics._equilibrium_cached.cache_clear()
+    equilibrium_temperature(0.5, BATH, BAND, SPEC)
+    assert calls == [0.0]
+
+
+def test_equilibrium_matches_reference_root_at_high_speed():
+    # The root of perfbench/reference.py's 1D forms of Qdot (scipy quad,
+    # extended-precision bracket), found by brentq at rtol 1e-12.  Brentq
+    # over the 2D Qdot missed it by 2.3e-7 relative.
+    lorentz = LorentzOscillator(1.0, 2.0, 0.5)
+    t_eq = equilibrium_temperature(0.99, BATH, lorentz, SPEC, rel_tol=1e-10)
+    assert t_eq == pytest.approx(0.9216890201034477, rel=1e-9)
 
 
 def test_equilibrium_depends_on_the_spectrum():
