@@ -8,18 +8,22 @@ reproduce to quadrature accuracy:
 * spontaneous terms:   the particle-temperature parts of F_x and of
                        gamma^2*beta*Qdot are equal, which is why the
                        drag combination carries no T1 dependence
-* dual rest force:     the direct and transformed rest-force integrals
-                       agree (change of variables w' = gamma*w*(1+bx))
+* dual rest force:     the direct (2D) and transformed (1D) rest-force
+                       integrals agree (change of variables
+                       w' = gamma*w*(1+bx))
 * intensity split:     net intensity = P(T1) - I2, where the emitted
                        power I1 equals the rest-frame emission
                        P(T1) = (4/pi) Int w^4 a''(w) n(w, T1) dw at any beta
 * closed inner forms:  Int x(1+bx)^-3 dx = -2*beta*gamma^4 and
                        Int (1+bx)^-2 dx = 2*gamma^2 over [-1, 1]
 
-Every check compares two independent quadratures, so the acceptance
-threshold is tied to their error estimates: pass iff
-residual <= max(10 * RSS(error estimates), ABS_FLOOR), never a bare
-epsilon.  ABS_FLOOR = 1e-12 internal units absorbs exact-zero cases.
+heating_rate and drag_combination are 1D integrals over the rest-frame
+frequency; force_lab, intensity, force_rest_frame and the spontaneous
+terms are 2D Doppler quadratures, so each relation between them checks
+one route against the other.  Every check compares independent
+quadratures, so the acceptance threshold is tied to their error
+estimates: pass iff residual <= max(10 * RSS(error estimates),
+ABS_FLOOR), never a bare epsilon.  ABS_FLOOR = 1e-12 internal units absorbs exact-zero cases.
 """
 
 from __future__ import annotations
@@ -270,7 +274,7 @@ def verify_all(
         spont.cancellation,
         spont.reduction,
         # force_rest_frame_alt is drag_combination under another name, so
-        # the drag already in hand is the transformed rest-force integral.
+        # the 1D drag already in hand is the transformed rest-force integral.
         _residual_check("rest-force-dual-form", fp.value, drag.value, fp.error, drag.error),
         _frame_force("drag-composition", b, drag, f, q),
         # net = I1 - I2 with the 2D-quadrature I1 against the 1D P(T1)

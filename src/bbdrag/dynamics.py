@@ -10,14 +10,18 @@ The (1 - C_s*T1) factor corrects for the heat that reappears as rest
 mass; it is dropped when C_s*T1 < 1e-12 (the regimes of interest have
 C_s*T1 << 1, and a warning fires when it exceeds 1e-6).
 
-The stepper is an embedded Runge-Kutta 4(5) pair (Dormand-Prince via
-scipy) driven step by step.  At every accepted step the instantaneous
-energy balance |I + Qdot + beta*F_x| is evaluated with an independent
-quadrature for I and must stay within its combined quadrature error
-budget; in full mode this residual equals |d(gamma*m)/dt + I|, the
-statement that kinetic-plus-rest energy is lost exactly at the radiated
-rate.  Trajectories also accumulate trapezoidal Int I dt so the global
-bookkeeping |Delta(gamma*m) + Int I dt| can be checked; dense-output
+F' and Qdot are the production 1D integrals over the rest-frame
+frequency (observables module docstring), one each per right-hand-side
+evaluation.  The stepper is an embedded Runge-Kutta 4(5) pair
+(Dormand-Prince via scipy, imported when a trajectory starts) driven
+step by step.  At every accepted step the instantaneous energy balance
+|I + Qdot + beta*F_x| is evaluated with an independent quadrature for
+I, the 2D lab-frame Doppler integral, and must stay within its
+combined quadrature error budget; in full mode this residual equals
+|d(gamma*m)/dt + I|, the statement that kinetic-plus-rest energy is
+lost exactly at the radiated rate.  Trajectories also accumulate
+trapezoidal Int I dt so the global bookkeeping
+|Delta(gamma*m) + Int I dt| can be checked; dense-output
 substates may be sampled between accepted steps (``balance_substeps``)
 to refine that trapezoid without constraining the step controller.
 
@@ -40,8 +44,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import brentq
 
 from .kernels import BETA_MAX, QuadratureSpec, lorentz_gamma
 from .kernels import bose_occupation  # noqa: F401 -- perfbench's tracer patches it by name
@@ -240,6 +242,8 @@ def _equilibrium_cached(
     spec: QuadratureSpec,
     rel_tol: float,
 ) -> float:
+    from scipy.optimize import brentq
+
     blue = math.sqrt((1.0 + beta) / (1.0 - beta))
     lo = t2 / blue
     hi = t2 * blue
@@ -303,6 +307,8 @@ def evolve(
     an unphysical state, MonitorViolation when an accepted step's energy
     balance exceeds its quadrature error budget.
     """
+    from scipy.integrate import RK45
+
     cfg.validate_against(spec)
     if thermo.specific_heat * state0.temperature > _CORRECTION_WARN:
         warnings.warn(

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from bbdrag import IdentityCheck
 from bbdrag.cli import ConfigError, load_config, run
 from bbdrag.dynamics import EvolveConfig
 from bbdrag.kernels import QuadratureSpec
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 EVOLVE_HEADER = "t,beta,m,T1,F_x,Qdot,I,balance_residual"
 
@@ -244,6 +250,29 @@ def test_equilibrium_temp_at_rest_is_bath_temperature(tmp_path, capsys):
     assert row["observable"] == "equilibrium_temperature"
     assert row["value"] == 1.0
     assert row["si_unit"] == "K"
+
+
+def test_equilibrium_temp_converges_for_ohmic_near_its_root(tmp_path, capsys):
+    # The heating rate at T1* cancels to about 1e-8 here; the CLI used to
+    # exit 2 asking for an absolute 1e-14 below the rounding floor of its
+    # two terms.
+    path = write_cfg(tmp_path, {"model": {"type": "ohmic", "slope": 1, "omega_c": 5}})
+    doc = run_json(
+        ["equilibrium-temp", "--config", path, "--beta", "0.007902226058671866",
+         "--t2", "1.654009284256541"],
+        tmp_path,
+        capsys,
+    )
+    (row,) = doc["rows"]
+    assert row["value"] == pytest.approx(1.654009284256541, rel=1e-4)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy is imported by the commands that need it, not at start-up."""
+    code = "import sys, bbdrag.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "[]"
 
 
 def test_flags_override_config_file(tmp_path, capsys):

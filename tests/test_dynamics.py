@@ -30,6 +30,7 @@ from bbdrag import (
 )
 from bbdrag import dynamics
 from bbdrag.dynamics import _net_intensity
+from bbdrag.observables import _doppler_integral
 
 from conftest import REFERENCE_MODELS
 
@@ -101,7 +102,7 @@ def test_equilibrium_is_bath_temperature_at_rest():
 
 
 def test_equilibrium_zeroes_the_heating_rate():
-    """The full 2D Qdot at the root found on the T1 split checks it independently."""
+    """The production Qdot, A - P(T1)/gamma^2, vanishes at the root brentq found."""
     for model, beta in itertools.product(REFERENCE_MODELS, (0.01, 0.3, 0.7, 0.9)):
         t_eq = equilibrium_temperature(beta, BATH, model, SPEC, rel_tol=1e-10)
         state = ParticleState(beta=beta, mass=1.0, temperature=t_eq)
@@ -112,8 +113,23 @@ def test_equilibrium_zeroes_the_heating_rate():
         assert abs(q.value) <= max(1e-8 * scale, 10.0 * q.error)
 
 
+def test_equilibrium_zeroes_the_2d_doppler_heating_rate():
+    """The root also zeroes Qdot taken as the 2D lab-frame Doppler integral.
+
+    heating_rate is the 1D split that brentq zeroes, so the independent
+    check is the 2D quadrature (2 gamma/pi) Int dw w^4 Int dx u^3 a''(w_b)
+    [n(w, T2) - n(w_b, T1)] of the same rate.
+    """
+    for model, beta in itertools.product(REFERENCE_MODELS, (0.01, 0.3, 0.7, 0.9)):
+        t_eq = equilibrium_temperature(beta, BATH, model, SPEC, rel_tol=1e-10)
+        q = _doppler_integral(lambda x, u: u**3, beta, t_eq, BATH.temperature, model, SPEC)
+        pref = 2.0 * lorentz_gamma(beta) / math.pi
+        scale = abs(heating_rate(ParticleState(beta, 1.0, 0.0), BATH, model, SPEC).value)
+        assert abs(pref * q.value) <= max(1e-8 * scale, 10.0 * pref * q.error), (model, beta)
+
+
 def test_equilibrium_solve_evaluates_one_heating_integral(monkeypatch):
-    """A cold solve evaluates the 2D Qdot once, at T1 = 0; the rest is 1D P(T1)."""
+    """A cold solve evaluates Qdot once, at T1 = 0; the rest is 1D P(T1)."""
     calls = []
 
     def counted(state, *args):
