@@ -14,16 +14,22 @@ F' and Qdot are the production 1D integrals over the rest-frame
 frequency (observables module docstring), one each per right-hand-side
 evaluation.  The stepper is an embedded Runge-Kutta 4(5) pair
 (Dormand-Prince via scipy, imported when a trajectory starts) driven
-step by step.  At every accepted step the instantaneous energy balance
-|I + Qdot + beta*F_x| is evaluated with an independent quadrature for
-I, the 2D lab-frame Doppler integral, and must stay within its
-combined quadrature error budget; in full mode this residual equals
-|d(gamma*m)/dt + I|, the statement that kinetic-plus-rest energy is
-lost exactly at the radiated rate.  Trajectories also accumulate
-trapezoidal Int I dt so the global bookkeeping
-|Delta(gamma*m) + Int I dt| can be checked; dense-output
-substates may be sampled between accepted steps (``balance_substeps``)
-to refine that trapezoid without constraining the step controller.
+step by step.
+
+The radiated energy E rides along as the last integrated variable,
+dE/dt = I = -(Qdot + beta*F_x) with F_x = F' + gamma^2*beta*Qdot: the
+energy-balance identity applied to the same two rates, so it costs no
+further integral.  It is excluded from the step controller's error
+norm, so the steps are those of the physical variables alone.  At every
+accepted step the instantaneous balance |I_2D - I| is evaluated with an
+independent quadrature, the 2D lab-frame Doppler integral I_2D, and
+must stay within its combined quadrature error budget; in full mode I
+equals -d(gamma*m)/dt, the statement that kinetic-plus-rest energy is
+lost exactly at the radiated rate.  The reported radiated energy is
+E(t_end) plus the trapezoid of the small difference I_2D - I over the
+accepted points, so the 2D quadrature enters only as a correction and
+the global bookkeeping |Delta(gamma*m) + Int I dt| is limited by the
+ODE tolerances rather than by the sampling of I.
 
 Modes: ``full`` integrates all three variables; ``quasi-static-T1``
 pins T1 = T1*(beta), the zero of Qdot(T1) = Qdot(0) - P(T1)/gamma^2
@@ -73,7 +79,13 @@ _CORRECTION_WARN = 1e-6
 
 _MONITOR_FLOOR = 1e-12
 
-MODES = ("full", "quasi-static-T1", "fixed-velocity")
+# Variables each mode integrates; the radiated energy E is always last.
+_VARIABLES = {
+    "full": ("beta", "mass", "temperature", "radiated"),
+    "quasi-static-T1": ("beta", "mass", "radiated"),
+    "fixed-velocity": ("mass", "temperature", "radiated"),
+}
+MODES = tuple(_VARIABLES)
 
 
 class DynamicsError(RuntimeError):
@@ -120,7 +132,7 @@ class Trajectory:
 
     points: tuple[TrajectoryPoint, ...]
     termination: str  # "t_end" | "beta_stop" | "steady"
-    radiated_energy: float  # trapezoidal Int I dt
+    radiated_energy: float  # Int I dt: the integrated E plus the 2D monitor's correction
     bookkeeping_residual: float  # |Delta(gamma*m) + Int I dt|; NaN for fixed-velocity
 
 
@@ -130,8 +142,8 @@ class EvolveConfig:
 
     abs_tol must exceed 10x the quadrature abs_tol: the step controller
     treats quadrature error as RHS noise and cannot resolve below it.
-    balance_substeps > 1 samples the dense output that many times per
-    accepted step when accumulating the trapezoidal Int I dt.
+    The tolerances bound the physical variables; the radiated energy
+    integrated alongside them is accurate to the same order.
     """
 
     t_end: float
@@ -145,7 +157,6 @@ class EvolveConfig:
     temperature_tol: float = 1e-6
     beta_stop: float | None = None
     monitor: bool = True
-    balance_substeps: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
@@ -172,10 +183,6 @@ class EvolveConfig:
             )
         if self.beta_stop is not None and not (0.0 <= self.beta_stop <= BETA_MAX):
             raise ValueError(f"beta_stop must lie in [0, {BETA_MAX!r}], got {self.beta_stop!r}")
-        if not (isinstance(self.balance_substeps, int) and self.balance_substeps >= 1):
-            raise ValueError(
-                f"balance_substeps must be an int >= 1, got {self.balance_substeps!r}"
-            )
 
     def validate_against(self, spec: QuadratureSpec):
         if self.abs_tol < 10.0 * spec.abs_tol:
@@ -211,6 +218,17 @@ def _equations_of_motion(
     if corr >= _CORRECTION_CUT:
         dtemp *= 1.0 - corr
     return dbeta, dmass, dtemp
+
+
+def _lab_force_and_intensity(beta: float, fp: float, qd: float) -> tuple[float, float]:
+    """(F_x, I) from F' and Qdot: F_x = F' + gamma^2 beta Qdot, I = -(Qdot + beta F_x).
+
+    The energy-balance identity on the two rates; evolve integrates this
+    I and checks it against the independent _net_intensity.
+    """
+    g = lorentz_gamma(beta)
+    f_lab = fp + g * g * beta * qd
+    return f_lab, -(qd + beta * f_lab)
 
 
 def _net_intensity(
@@ -322,32 +340,27 @@ def evolve(
     if mode == "quasi-static-T1" and bath.temperature <= 0.0:
         raise ValueError("quasi-static-T1 mode needs T2 > 0 to define T1*(beta)")
 
-    beta0 = state0.beta
+    names = _VARIABLES[mode]
     cache: dict[bytes, tuple[float, float]] = {}
 
     def state_of(y: np.ndarray) -> ParticleState:
-        if mode == "full":
-            b, m, t1 = y
-        elif mode == "quasi-static-T1":
-            b, m = y
-            t1 = equilibrium_temperature(
-                min(max(float(b), 0.0), BETA_MAX), bath, model, spec
-            )
-        else:  # fixed-velocity
-            m, t1 = y
-            b = beta0
-        b = min(max(float(b), 0.0), BETA_MAX)
-        t1 = max(float(t1), 0.0)
+        v = dict(zip(names, y.tolist()))
+        b = min(max(v.get("beta", state0.beta), 0.0), BETA_MAX)
+        m = v["mass"]
+        if "temperature" in v:
+            t1 = v["temperature"]
+        else:
+            t1 = equilibrium_temperature(b, bath, model, spec)
         if not m > 0.0:
             raise DynamicsError(
                 f"mass became non-positive (m = {m:.6g}); the model has been "
                 "integrated far outside its regime"
             )
-        return ParticleState(b, float(m), t1)
+        return ParticleState(b, m, max(t1, 0.0))
 
-    def rates(y: np.ndarray) -> tuple[float, float, float]:
-        """(drag, Qdot) -> cached; returns (fp, qd) for the state of y."""
-        key = y.tobytes()
+    def rates(y: np.ndarray) -> tuple[float, float]:
+        """(F', Qdot) at the state of y, cached on its physical variables."""
+        key = y[:-1].tobytes()
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -361,92 +374,70 @@ def evolve(
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         fp, qd = rates(y)
-        dbeta, dmass, dtemp = _equations_of_motion(state_of(y), fp, qd, thermo)
-        if mode == "full":
-            return np.array([dbeta, dmass, dtemp])
-        if mode == "quasi-static-T1":
-            return np.array([dbeta, dmass])
-        return np.array([dmass, dtemp])
+        st = state_of(y)
+        dbeta, dmass, dtemp = _equations_of_motion(st, fp, qd, thermo)
+        _, power = _lab_force_and_intensity(st.beta, fp, qd)
+        rate = {"beta": dbeta, "mass": dmass, "temperature": dtemp, "radiated": power}
+        return np.array([rate[n] for n in names])
 
     def make_point(t: float, y: np.ndarray) -> tuple[TrajectoryPoint, float]:
+        """The point at y and its signed monitor gap I_2D - I.
+
+        Raises MonitorViolation when the gap exceeds its quadrature budget.
+        """
         st = state_of(y)
         fp, qd = rates(y)
+        f_lab, power = _lab_force_and_intensity(st.beta, fp, qd)
         net = _net_intensity(st, bath, model, spec)
-        g = lorentz_gamma(st.beta)
-        f_lab = fp + g * g * st.beta * qd
-        residual = abs(net.value + qd + st.beta * f_lab)
+        gap = net.value - power
         # Reconstruction uses the cached drag/Qdot values; their error
         # budget is the quadrature spec's own tolerance.
         scale = max(abs(net.value), abs(qd), abs(st.beta * f_lab))
         budget = math.sqrt(net.error**2 + 2.0 * (spec.rel_tol * scale) ** 2)
         tol = max(10.0 * budget, _MONITOR_FLOOR)
+        if cfg.monitor and abs(gap) > tol:
+            raise MonitorViolation(
+                f"energy balance violated at t = {t:.6g}: residual "
+                f"{abs(gap):.3g} > tolerance {tol:.3g} "
+                f"(beta = {st.beta:.6g}, T1 = {st.temperature:.6g})"
+            )
         point = TrajectoryPoint(
-            t, st.beta, st.mass, st.temperature, f_lab, qd, net.value, residual
+            t, st.beta, st.mass, st.temperature, f_lab, qd, net.value, abs(gap)
         )
-        return point, tol
+        return point, gap
 
-    def gamma_mass(y: np.ndarray) -> float:
-        st = state_of(y)
-        return lorentz_gamma(st.beta) * st.mass
-
-    if mode == "full":
-        y0 = np.array([state0.beta, state0.mass, state0.temperature])
-    elif mode == "quasi-static-T1":
-        y0 = np.array([state0.beta, state0.mass])
-    else:
-        y0 = np.array([state0.mass, state0.temperature])
-
+    start = {"beta": state0.beta, "mass": state0.mass,
+             "temperature": state0.temperature, "radiated": 0.0}
+    y0 = np.array([start[n] for n in names])
+    # E stays out of the error norm (atol = inf).  scipy's norm is an RMS
+    # over all components, so the others' tolerances shrink by
+    # sqrt(n/(n+1)) to keep the step sequence of the physical variables.
+    shrink = math.sqrt((len(names) - 1) / len(names))
+    atol = np.full(len(names), cfg.abs_tol * shrink)
+    atol[-1] = math.inf
     solver = RK45(
         rhs,
         0.0,
         y0,
         t_bound=cfg.t_end,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
+        rtol=cfg.rel_tol * shrink,
+        atol=atol,
         max_step=cfg.max_step,
         first_step=cfg.initial_step,
     )
 
-    point, tol = make_point(0.0, y0)
-    if cfg.monitor and point.balance_residual > tol:
-        raise MonitorViolation(
-            f"initial state fails energy balance: residual "
-            f"{point.balance_residual:.3g} > tolerance {tol:.3g}"
-        )
-    points = [point]
-    radiated = 0.0
+    point, gap = make_point(0.0, y0)
+    points, gaps = [point], [gap]
     termination = "t_end"
-    t_prev, y_prev, i_prev = 0.0, y0.copy(), point.intensity
-
     while solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             raise DynamicsError(
                 f"step-size underflow at t = {solver.t:.6g}: {message or 'solver failed'}"
             )
-        t_new, y_new = solver.t, solver.y.copy()
-        point, tol = make_point(t_new, y_new)
-        if cfg.monitor and point.balance_residual > tol:
-            raise MonitorViolation(
-                f"energy balance violated at t = {t_new:.6g}: residual "
-                f"{point.balance_residual:.3g} > tolerance {tol:.3g} "
-                f"(beta = {point.beta:.6g}, T1 = {point.temperature:.6g})"
-            )
+        point, gap = make_point(solver.t, solver.y)
         points.append(point)
-
-        # Trapezoidal Int I dt, optionally refined on dense-output substates.
-        ts = np.linspace(t_prev, t_new, cfg.balance_substeps + 1).tolist()
-        i_vals = [i_prev]
-        if cfg.balance_substeps > 1:
-            interp = solver.dense_output()
-            for tk in ts[1:-1]:
-                i_vals.append(_net_intensity(state_of(interp(tk)), bath, model, spec).value)
-        i_vals.append(point.intensity)
-        radiated += math.fsum(
-            0.5 * (ia + ib) * (tb - ta)
-            for ia, ib, ta, tb in zip(i_vals, i_vals[1:], ts, ts[1:])
-        )
-        t_prev, y_prev, i_prev = t_new, y_new, point.intensity
+        gaps.append(gap)
 
         if cfg.beta_stop is not None and point.beta <= cfg.beta_stop:
             termination = "beta_stop"
@@ -462,9 +453,15 @@ def evolve(
             termination = "steady"
             break
 
+    # The integrated E plus the trapezoid of the monitor's correction I_2D - I.
+    radiated = float(solver.y[-1]) + math.fsum(
+        0.5 * (ga + gb) * (pb.t - pa.t)
+        for ga, gb, pa, pb in zip(gaps, gaps[1:], points, points[1:])
+    )
     if mode == "fixed-velocity":
         bookkeeping = math.nan
     else:
-        delta_e = gamma_mass(y_prev) - gamma_mass(y0)
+        first, last = points[0], points[-1]
+        delta_e = lorentz_gamma(last.beta) * last.mass - lorentz_gamma(first.beta) * first.mass
         bookkeeping = abs(delta_e + radiated)
     return Trajectory(tuple(points), termination, radiated, bookkeeping)

@@ -63,6 +63,12 @@ _ERR_FLOOR = 2.0e-16
 # value, not an approximation.
 _OMEGA_DOMAIN_FLOOR = 1.0e-318
 
+# Truncation bound of a thermal integral cut at u_max decay lengths L:
+# its integrand at the cutoff times this many decay lengths.  An integrand
+# w^p e^(-w/L) has the tail f(cut) L / (1 - p L/cut) beyond cut = u_max L,
+# at most 2 f(cut) L for p <= u_max / 2 (the models here have p <= 5).
+_TAIL_LENGTHS = 2.0
+
 
 class QuadratureConvergenceError(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget."""
@@ -345,6 +351,14 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
         v_hi = np.concatenate([v_hi[keep], nv_hi])
 
 
+def _tail_bound(f, cut: float, spec: QuadratureSpec) -> float:
+    """Truncation error of Int_0^cut f, with cut = spec.u_max decay lengths.
+
+    _TAIL_LENGTHS * (cut / u_max) * |f(cut)|; f takes and returns ndarrays.
+    """
+    return _TAIL_LENGTHS * (cut / spec.u_max) * abs(float(f(np.array([cut]))[0]))
+
+
 def integrate_omega_x(
     kernel,
     t1: float,
@@ -353,14 +367,12 @@ def integrate_omega_x(
     spec: QuadratureSpec,
     inner_edges_fn=None,
     outer_seeds=(),
-    omega_max: float | None = None,
 ) -> QuadResult:
     """Nested quadrature of kernel(omega, x) over (0, omega_max] x [-1, 1].
 
     Fixed-order Gauss-Legendre across x (``spec.inner_nodes`` points)
     inside adaptive quadrature over omega, truncated at
-    ``omega_cutoff(t1, t2, beta, spec.u_max)`` unless `omega_max` is
-    given.
+    omega_max = ``omega_cutoff(t1, t2, beta, spec.u_max)``.
 
     Parameters
     ----------
@@ -379,19 +391,15 @@ def integrate_omega_x(
         x (band-edge images); zero-width segments contribute nothing.
     outer_seeds : iterable of float, optional
         Initial panel edges for the omega integral (kink frequencies).
-    omega_max : float, optional
-        Explicit cutoff override.
 
     Returns
     -------
     QuadResult
-        neval counts kernel point evaluations; omega_max records the
-        cutoff actually used.
+        error includes the _tail_bound of the omega integral at the
+        cutoff; neval counts kernel point evaluations; omega_max records
+        the cutoff.
     """
-    if omega_max is None:
-        omega_max = omega_cutoff(t1, t2, beta, spec.u_max)
-    if not (math.isfinite(omega_max) and omega_max > 0.0):
-        raise ValueError(f"omega_max must be finite and positive, got {omega_max!r}")
+    omega_max = omega_cutoff(t1, t2, beta, spec.u_max)
     if omega_max < _OMEGA_DOMAIN_FLOOR:
         return QuadResult(0.0, 0.0, 0, 0, float(omega_max))
 
@@ -422,5 +430,6 @@ def integrate_omega_x(
             vals = kernel(flat[:, None, None], x)
             return np.sum(vals * w, axis=(1, 2)).reshape(omega.shape)
 
-    res = integrate_1d(inner, 0.0, float(omega_max), spec, seeds=outer_seeds)
-    return QuadResult(res.value, res.error, count, res.panels, float(omega_max))
+    res = integrate_1d(inner, 0.0, omega_max, spec, seeds=outer_seeds)
+    error = res.error + _tail_bound(inner, omega_max, spec)
+    return QuadResult(res.value, error, count, res.panels, omega_max)

@@ -73,6 +73,7 @@ from .kernels import (
     QuadratureSpec,
     _OMEGA_DOMAIN_FLOOR,
     _gl_nodes,
+    _tail_bound,
     bose_occupation,
     inv_sinh_sq,
     integrate_1d,
@@ -106,12 +107,6 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138)
 # Li2(t) = sum t^k / k^2 to this order for t <= 1/4: the tail is < 1e-20 t.
 _LI2_TERMS = 30
-
-# Truncation bound of a 1D thermal integral: its integrand at the cutoff
-# times this many decay lengths.  An integrand w^p e^(-w/L) has the tail
-# f(cut) L / (1 - p L/cut) beyond cut = u_max L, at most 2 f(cut) L for
-# p <= u_max / 2 (the models here have p <= 5).
-_TAIL_LENGTHS = 2.0
 
 
 @dataclass(frozen=True)
@@ -272,30 +267,26 @@ def _emitted_power(t1: float, model: PolarizabilityModel, spec: QuadratureSpec) 
     def integrand(om):
         return om**4 * alpha_im(model, om) * bose_occupation(om, t1)
 
-    q = _integrate_thermal(integrand, cut, t1, t1, model, spec)
+    q = _integrate_thermal(integrand, cut, t1, model, spec)
     return Quantity((4.0 / math.pi) * q.value, (4.0 / math.pi) * q.error, _diag_1d(q))
 
 
-def _integrate_thermal(
-    integrand, cut: float, lowest: float, decay: float, model, spec
-) -> QuadResult:
-    """Int_0^cut of a thermal integrand with scales from `lowest` up, decaying
-    like e^(-w/decay) at large w.
+def _integrate_thermal(integrand, cut: float, lowest: float, model, spec) -> QuadResult:
+    """Int_0^cut of a thermal integrand with scales from `lowest` up, where
+    `cut` lies u_max of its decay lengths out.
 
     Panel edges are the model's breakpoints and the geometric ladder
     lowest * 2^k below the cutoff, so that an integral whose cutoff lies
     far above its thermal scale (gamma >> 1) still puts nodes on the
     thermal peak, with a panel count growing like log(cut/lowest).  The
-    reported error includes the truncation bound _TAIL_LENGTHS * decay *
-    |integrand(cut)|.
+    reported error includes the truncation bound kernels._tail_bound.
     """
     seeds = list(breakpoints(model))
     while lowest < cut:
         seeds.append(lowest)
         lowest *= 2.0
     q = integrate_1d(integrand, 0.0, cut, spec, seeds=seeds)
-    tail = _TAIL_LENGTHS * decay * abs(float(integrand(np.array([cut]))[0]))
-    return replace(q, error=q.error + tail, omega_max=cut)
+    return replace(q, error=q.error + _tail_bound(integrand, cut, spec), omega_max=cut)
 
 
 def _log1m_exp(y: np.ndarray) -> np.ndarray:
@@ -406,7 +397,7 @@ def _bath_integral(
     # The least suppressed direction sees n(w'/(D T2)), D = sqrt((1+b)/(1-b)):
     # thermal scales run from T2/D to D T2, and the tail decays over D T2.
     blue = math.sqrt((1.0 + beta) / (1.0 - beta))
-    return _integrate_thermal(integrand, cut, t2 / blue, blue * t2, model, spec)
+    return _integrate_thermal(integrand, cut, t2 / blue, model, spec)
 
 
 def force_lab(

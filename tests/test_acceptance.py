@@ -321,7 +321,6 @@ def test_criterion_09_energy_bookkeeping_along_trajectory():
         rel_tol=1e-12,
         abs_tol=1e-13,
         beta_stop=0.495,
-        balance_substeps=4,
     )
     with pytest.warns(UserWarning, match="rest-mass feedback"):
         traj = evolve(DYN_STATE0, DYN_BATH, DYN_MODEL, thermo, cfg, SPEC)
@@ -391,7 +390,7 @@ def test_criterion_11_cli_determinism_across_threads(tmp_path):
         "particle": {"beta": 0.4, "mass": 50.0, "temperature": 1.5, "specific_heat": 0.01},
         "bath": {"temperature": 1.0},
         "model": {"type": "tophat", "amplitude": 1.0, "omega1": 0.5, "omega2": 1.5},
-        "evolve": {"t_end": 2.0, "mode": "quasi-static-T1", "balance_substeps": 4},
+        "evolve": {"t_end": 2.0, "mode": "quasi-static-T1"},
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))

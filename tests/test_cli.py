@@ -143,6 +143,13 @@ def test_config_flag_parse_error_exits_1(tmp_path, capsys):
     assert "line 2 column" in capsys.readouterr().err
 
 
+def test_removed_balance_substeps_field_exits_1(tmp_path, capsys):
+    """The radiated energy is an ODE variable; the trapezoid's substep knob is gone."""
+    path = write_cfg(tmp_path, {"evolve": {"balance_substeps": 4}})
+    assert run(["evolve", "--config", path]) == 1
+    assert "evolve.balance_substeps: unknown field" in capsys.readouterr().err
+
+
 def test_config_flag_missing_file_exits_1(tmp_path, capsys):
     assert run(["force", "--config", str(tmp_path / "absent.json")]) == 1
     assert "config file" in capsys.readouterr().err
@@ -334,7 +341,6 @@ def test_evolve_json_carries_energy_ledger(tmp_path, capsys):
             "particle": {"beta": 0.0, "temperature": 1.5, "specific_heat": 0.01},
             "evolve": {
                 "t_end": 2.0,
-                "balance_substeps": 16,
                 "rel_tol": 1e-12,
                 "abs_tol": 1e-13,
             },

@@ -194,8 +194,6 @@ def test_evolve_config_validation():
         EvolveConfig(t_end=1.0, output_stride=0)
     with pytest.raises(ValueError):
         EvolveConfig(t_end=1.0, beta_stop=1.5)
-    with pytest.raises(ValueError):
-        EvolveConfig(t_end=1.0, balance_substeps=0)
 
 
 def test_ode_tolerance_must_dominate_quadrature_noise():
@@ -231,8 +229,8 @@ def test_null_coupling_keeps_state_frozen():
 def test_stationary_hot_particle_relaxes_to_bath():
     state = ParticleState(beta=0.0, mass=5.0, temperature=2.0)
     # the mass deficit is ~1% of the mass, so pinning it to 1e-7 of itself
-    # needs the state resolved to ~1e-9 and a finely sampled power integral
-    cfg = EvolveConfig(t_end=40.0, rel_tol=1e-11, abs_tol=1e-13, balance_substeps=64)
+    # needs the state resolved to ~1e-9
+    cfg = EvolveConfig(t_end=40.0, rel_tol=1e-11, abs_tol=1e-13)
     traj = quiet_evolve(state, BATH, BAND, THERMO, cfg, SPEC)
 
     temps = np.array([p.temperature for p in traj.points])
@@ -273,7 +271,7 @@ def test_fixed_velocity_mode_relaxes_temperature_at_constant_speed():
 
 def test_quasi_static_mode_pins_temperature_to_equilibrium():
     state = ParticleState(beta=0.5, mass=50.0, temperature=2.0)
-    cfg = EvolveConfig(t_end=10.0, mode="quasi-static-T1", balance_substeps=4)
+    cfg = EvolveConfig(t_end=10.0, mode="quasi-static-T1")
     traj = quiet_evolve(state, BATH, BAND, THERMO, cfg, SPEC)
     for p in traj.points[:: max(1, len(traj.points) // 6)]:
         t_eq = equilibrium_temperature(p.beta, BATH, BAND, SPEC)
@@ -319,6 +317,59 @@ def test_monitor_keeps_balance_residual_small_along_trajectory():
     traj = quiet_evolve(state, BATH, BAND, THERMO, EvolveConfig(t_end=10.0), SPEC)
     scale = max(abs(p.intensity) for p in traj.points)
     assert max(p.balance_residual for p in traj.points) <= 1e-8 * max(scale, 1.0)
+
+
+# -------------------------------------------------------- energy bookkeeping
+
+# The criterion-10 setup: a hot TopHat particle at beta = 0.5, m = 100.
+HOT_START = ParticleState(beta=0.5, mass=100.0, temperature=2.0)
+
+
+def bookkeeping_rel(traj):
+    return traj.bookkeeping_residual / traj.radiated_energy
+
+
+def test_quasi_static_bookkeeping_at_default_tolerances():
+    cfg = EvolveConfig(t_end=600.0, mode="quasi-static-T1")
+    traj = quiet_evolve(HOT_START, BATH, BAND, THERMO, cfg, SPEC)
+    assert traj.radiated_energy > 0.0
+    assert bookkeeping_rel(traj) <= 1e-6
+
+
+def _scaled_intensity(monkeypatch):
+    net = dynamics._net_intensity
+
+    def scaled(*args):
+        q = net(*args)
+        return dynamics.Quantity(q.value * (1.0 + 1e-4), q.error)
+
+    monkeypatch.setattr(dynamics, "_net_intensity", scaled)
+
+
+def _scaled_mass_rate(monkeypatch):
+    eom = dynamics._equations_of_motion
+
+    def scaled(*args):
+        dbeta, dmass, dtemp = eom(*args)
+        return dbeta, dmass * (1.0 + 1e-4), dtemp
+
+    monkeypatch.setattr(dynamics, "_equations_of_motion", scaled)
+
+
+@pytest.mark.parametrize("plant", [_scaled_intensity, _scaled_mass_rate])
+def test_bookkeeping_sees_a_planted_1e_4_fault(monkeypatch, plant):
+    """A 1e-4 error in the 2D intensity or in dm/dt shows in the residual.
+
+    The radiated energy is integrated from the drag and heating rates
+    through the energy-balance identity, not from the equations of
+    motion, and corrected by the 2D intensity, so neither fault cancels.
+    """
+    cfg = EvolveConfig(t_end=3.0, monitor=False)
+    clean = quiet_evolve(HOT_START, BATH, BAND, THERMO, cfg, SPEC)
+    assert bookkeeping_rel(clean) <= 1e-9
+    plant(monkeypatch)
+    faulty = quiet_evolve(HOT_START, BATH, BAND, THERMO, cfg, SPEC)
+    assert bookkeeping_rel(faulty) >= 1e-5
 
 
 # -------------------------------------------------------------- convergence

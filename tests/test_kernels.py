@@ -209,6 +209,7 @@ def test_separable_product_closed_form():
     r = integrate_omega_x(kernel, 1.0, 0.0, 0.0, SPEC)
     expected = (math.pi**4 / 15.0) * (2.0 / 3.0)
     assert r.value == pytest.approx(expected, rel=1e-9)
+    assert r.omega_max == 40.0  # omega_cutoff at u_max = 40, T = 1
 
 
 def test_inner_angular_weight_closed_form():
@@ -233,17 +234,6 @@ def test_inner_edges_fn_handles_discontinuous_band():
         flat = np.broadcast_to(np.array([-1.0, lo, hi, 1.0]), (om.size, 4))
         return np.ascontiguousarray(flat)
 
-    r = integrate_omega_x(kernel, 0.0, 1.0, 0.0, SPEC, inner_edges_fn=edges, omega_max=60.0)
-    # integral of om*exp(-om) over [0, 60] ~= 1; x-width = 0.5
+    r = integrate_omega_x(kernel, 0.0, 1.0, 0.0, SPEC, inner_edges_fn=edges)
+    # integral of om*exp(-om) over [0, 40] ~= 1; x-width = 0.5
     assert r.value == pytest.approx(0.5, rel=1e-10)
-
-
-def test_omega_max_override_matches_cutoff_default():
-    def kernel(om, x):
-        # constant in x, but must still broadcast over the angular nodes
-        return om**3 * bose_occupation(om, 1.0) + 0.0 * x
-
-    auto = integrate_omega_x(kernel, 1.0, 0.0, 0.0, SPEC)
-    manual = integrate_omega_x(kernel, 1.0, 0.0, 0.0, SPEC, omega_max=40.0)
-    assert auto.omega_max == 40.0
-    assert manual.value == pytest.approx(auto.value, rel=1e-12)

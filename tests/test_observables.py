@@ -226,6 +226,19 @@ def test_cutoff_insensitivity():
         assert rel_diff(a, b) <= 1e-9, type(model).__name__
 
 
+def test_2d_error_covers_the_truncation_at_the_cutoff():
+    """Doubling u_max moves the 2D intensity by less than its own error.
+
+    Without the tail bound the move was 4.8x the error for this point,
+    where the error estimate is small and the slow Ohmic tail is cut.
+    """
+    state = ParticleState(beta=1e-3, mass=1.0, temperature=0.15)
+    bath, model = BathSpec(0.3), Ohmic(slope=1.0, omega_c=5.0)
+    cut = intensity(state, bath, model, SPEC)[0]
+    wide = intensity(state, bath, model, QuadratureSpec(u_max=80.0))[0]
+    assert abs(cut.value - wide.value) <= cut.error
+
+
 def test_diagnostics_present():
     state = ParticleState(beta=0.4, mass=1.0, temperature=1.0)
     q = force_lab(state, BathSpec(1.0), REFERENCE_MODELS[0], SPEC)
