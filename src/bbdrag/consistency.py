@@ -42,7 +42,6 @@ from .observables import (
     Quantity,
     _doppler_integral,
     _emitted_power,
-    _negated,
     drag_combination,
     force_lab,
     force_rest_frame,
@@ -205,12 +204,12 @@ def spontaneous_term_cancellation(
         drift_term = Quantity(0.0, 0.0, {"short_circuit": reason})
         reduced = 0.0
     else:
-        # T2 = 0 keeps -n(w_b, T1) alone, hence the negated integrals.
-        qf = _doppler_integral(lambda x, u: x * u * u, b, t1, 0.0, model, spec)
-        qd = _doppler_integral(lambda x, u: u**3, b, t1, 0.0, model, spec)
-        force_term = Quantity(_PREF * g * _negated(qf.value), _PREF * g * qf.error)
-        drift_term = Quantity(
-            -_PREF * g**3 * b * _negated(qd.value), _PREF * g**3 * b * qd.error
+        # T2 = 0 keeps -n(w_b, T1) alone, hence the negated prefactors.
+        force_term = _doppler_integral(
+            lambda x, u: x * u * u, -_PREF * g, b, t1, 0.0, model, spec
+        )
+        drift_term = _doppler_integral(
+            lambda x, u: u**3, _PREF * g**3 * b, b, t1, 0.0, model, spec
         )
         reduced = -b * power.value
 

@@ -61,7 +61,6 @@ from .observables import (
     Quantity,
     _doppler_integral,
     _emitted_power,
-    _negated,
     drag_combination,
     heating_rate,
 )
@@ -78,6 +77,11 @@ _CORRECTION_CUT = 1e-12
 _CORRECTION_WARN = 1e-6
 
 _MONITOR_FLOOR = 1e-12
+
+# A run ends "steady" once beta is below _STEADY_BETA (kinematically at
+# rest) and T1 is within _STEADY_TEMPERATURE_TOL of T2, relative.
+_STEADY_BETA = 1e-8
+_STEADY_TEMPERATURE_TOL = 1e-6
 
 # Variables each mode integrates; the radiated energy E is always last.
 _VARIABLES = {
@@ -153,8 +157,6 @@ class EvolveConfig:
     mode: str = "full"
     output_stride: int = 1
     max_step: float = math.inf
-    beta_floor: float = 1e-8
-    temperature_tol: float = 1e-6
     beta_stop: float | None = None
     monitor: bool = True
 
@@ -175,12 +177,6 @@ class EvolveConfig:
             raise ValueError(f"output_stride must be an int >= 1, got {self.output_stride!r}")
         if not self.max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {self.max_step!r}")
-        if not (math.isfinite(self.beta_floor) and self.beta_floor > 0.0):
-            raise ValueError(f"beta_floor must be positive, got {self.beta_floor!r}")
-        if not (math.isfinite(self.temperature_tol) and self.temperature_tol > 0.0):
-            raise ValueError(
-                f"temperature_tol must be positive, got {self.temperature_tol!r}"
-            )
         if self.beta_stop is not None and not (0.0 <= self.beta_stop <= BETA_MAX):
             raise ValueError(f"beta_stop must lie in [0, {BETA_MAX!r}], got {self.beta_stop!r}")
 
@@ -247,9 +243,7 @@ def _net_intensity(
     if t1 == 0.0 and t2 == 0.0:
         return Quantity(0.0, 0.0, {"short_circuit": "no photons"})
     # The shared integral is absorbed minus emitted, so I is its negation.
-    q = _doppler_integral(lambda x, u: u * u, b, t1, t2, model, spec)
-    pref = _PREF * lorentz_gamma(b)
-    return Quantity(pref * _negated(q.value), pref * q.error)
+    return _doppler_integral(lambda x, u: u * u, -_PREF * lorentz_gamma(b), b, t1, t2, model, spec)
 
 
 @lru_cache(maxsize=1024)
@@ -443,13 +437,13 @@ def evolve(
             termination = "beta_stop"
             break
         if (
-            point.beta < cfg.beta_floor
+            point.beta < _STEADY_BETA
             and bath.temperature > 0.0
             and abs(point.temperature - bath.temperature)
-            <= cfg.temperature_tol * bath.temperature
+            <= _STEADY_TEMPERATURE_TOL * bath.temperature
         ):
-            # At beta below the floor T1*(beta) differs from T2 only at
-            # O(beta^2), far inside temperature_tol.
+            # Below _STEADY_BETA T1*(beta) differs from T2 only at
+            # O(beta^2), far inside _STEADY_TEMPERATURE_TOL.
             termination = "steady"
             break
 

@@ -3,11 +3,10 @@
 Everything here works in internal units (hbar = c = k_B = 1).  The
 scalar kernels are written so that no admissible input overflows:
 
-* ``bose_occupation`` uses expm1 below the exp-overflow threshold and
-  the asymptotic exp(-y) above it, exact to double precision (the two
-  branches differ by a relative 2e-305 at the crossover).
-* ``inv_sinh_sq`` evaluates 1/sinh(y)^2 as 4 e^{-2y}/(e^{-2y} - 1)^2,
-  which neither overflows at large y nor cancels at small y.
+* ``bose_occupation`` evaluates n(y) = 1/(e^y - 1) as e^{-y}/(1 - e^{-y})
+  with expm1 in the denominator, which neither overflows at large y nor
+  cancels at small y.  The 1D bath kernels and the low-speed friction
+  (1/sinh^2(y/2) = 4 n (n + 1)) use the same formula.
 
 The quadrature engine is adaptive interval bisection with an embedded
 Gauss-Legendre pair per panel: the 31-point rule supplies the value,
@@ -25,8 +24,10 @@ jumps publish breakpoints, and callers pass ``inner_edges_fn`` so the
 inner rule is applied piecewise between the exact jump images, keeping
 spectral accuracy.  The fixed inner order is a documented trade: it
 must resolve the narrowest spectral feature of the model (the
-``inner_nodes`` knob raises it), and correctness is guarded by the
-node-doubling invariance tests.
+``inner_nodes`` knob raises it), and the reported error has no term for
+the inner rule.  No test guards it: doubling ``inner_nodes`` from 64 to
+128 moves some 2D values by up to about 128 times their own error
+(ROADMAP, F8).
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ import numpy as np
 
 # Speed guard: gamma stays finite (~2.2e4) at the boundary.
 BETA_MAX = 1.0 - 1e-9
-
-# exp argument above which expm1(y) would overflow; switch to exp(-y).
-_EXP_SWITCH = 700.0
 
 # Orders of the embedded Gauss-Legendre pair (value / error reference).
 _GL_LOW = 15
@@ -144,6 +142,16 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
+def _occupation(y: np.ndarray) -> np.ndarray:
+    """n(y) = 1/(e^y - 1) for y > 0 as e^{-y}/(1 - e^{-y}), elementwise.
+
+    Neither factor overflows, expm1 keeps the small-y end free of
+    cancellation, and past y ~ 745 (or at y = inf) the numerator
+    underflows cleanly to 0.
+    """
+    return np.exp(-y) / -np.expm1(-y)
+
+
 def bose_occupation(omega, temperature: float):
     """Mean photon number n(omega, T) = 1/(e^{omega/T} - 1).
 
@@ -154,10 +162,9 @@ def bose_occupation(omega, temperature: float):
     temperature : float
         T >= 0; T = 0 returns exactly 0 (empty vacuum, no limit taken).
 
-    Stable for every ratio omega/T: below the exp-overflow threshold
-    the expm1 form is used, above it the asymptotic exp(-y), which
-    underflows cleanly to 0 for ratios up to and including ones whose
-    division itself overflows.
+    Stable for every ratio omega/T (``_occupation``): the Wien tail
+    underflows cleanly to 0, including ratios whose division itself
+    overflows.  Returns a float for scalar omega.
     """
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
@@ -168,28 +175,12 @@ def bose_occupation(omega, temperature: float):
     if t == 0.0:
         out = np.zeros_like(w)
     else:
-        # A normal omega over a subnormal T overflows the ratio to inf;
-        # that lands in the asymptotic branch as exp(-inf) = 0, the
-        # correct occupation there, so the overflow is not an error.
+        # A normal omega over a subnormal T overflows the ratio to inf,
+        # where the occupation is the correct 0, so the overflow is not
+        # an error.
         with np.errstate(over="ignore"):
-            y = w / t
-        out = np.empty_like(y)
-        small = y < _EXP_SWITCH
-        out[small] = 1.0 / np.expm1(y[small])
-        out[~small] = np.exp(-y[~small])
+            out = _occupation(w / t)
     if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
-    return out
-
-
-def inv_sinh_sq(y):
-    """1/sinh(y)^2 for y > 0, overflow-free: 4 e^{-2y} / (e^{-2y} - 1)^2."""
-    v = np.asarray(y, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("inv_sinh_sq requires y > 0")
-    e = np.exp(-2.0 * v)
-    out = 4.0 * e / np.expm1(-2.0 * v) ** 2
-    if np.isscalar(y) or np.ndim(y) == 0:
         return float(out)
     return out
 

@@ -48,10 +48,17 @@ Each is one adaptive 1D integral over w' with no integrate_omega_x
 call.  The verification route is the 2D lab-frame Doppler quadrature:
 every a''(w_b) integral -- force_lab, intensity, the spontaneous terms
 in consistency and the trajectory monitor -- is one _doppler_integral
-call with its own weight, and force_rest_frame keeps its own 2D kernel.
-So energy balance, the frame force, the drag composition, the dual rest
-force and the trajectory monitor each compare a 1D value with 2D
-quadratures.
+call with its own weight and signed prefactor, and force_rest_frame
+keeps its own 2D kernel.  So energy balance, the frame force, the drag
+composition, the dual rest force and the trajectory monitor each
+compare a 1D value with 2D quadratures.
+
+Each route has one helper that returns the finished Quantity:
+_doppler_integral for the 2D integrals and _integrate_thermal for the
+1D ones (the bath terms, P(T1) and the low-speed friction
+force_rest_frame_nr).  Each applies the prefactor and its sign, and
+returns an exact +0.0 where the integral underflows.  It also adds the
+truncation bound at the cutoff to the error and builds the diagnostics.
 
 Every observable returns a Quantity carrying the value, a conservative
 error estimate, and quadrature diagnostics, including the largest
@@ -73,13 +80,12 @@ from .kernels import (
     QuadratureSpec,
     _OMEGA_DOMAIN_FLOOR,
     _gl_nodes,
+    _occupation,
     _tail_bound,
     bose_occupation,
-    inv_sinh_sq,
     integrate_1d,
     integrate_omega_x,
     lorentz_gamma,
-    omega_cutoff,
 )
 from .polarizability import PolarizabilityModel, alpha_im, breakpoints
 
@@ -213,21 +219,23 @@ def _doppler_geometry(model: PolarizabilityModel, beta: float, gamma: float):
     return edges_fn, tuple(seeds)
 
 
-def _negated(value: float) -> float:
-    """-value, but +0.0 for an exact zero, as in a null model's emitted power."""
-    return 0.0 - value
-
-
 def _doppler_integral(
-    weight, beta: float, t1: float, t2: float, model: PolarizabilityModel, spec: QuadratureSpec
-) -> QuadResult:
-    """Int dw w^4 Int dx weight(x, 1+bx) a''(w_b) [n(w,T2) - n(w_b,T1)].
+    weight,
+    pref: float,
+    beta: float,
+    t1: float,
+    t2: float,
+    model: PolarizabilityModel,
+    spec: QuadratureSpec,
+) -> Quantity:
+    """pref * Int dw w^4 Int dx weight(x, 1+bx) a''(w_b) [n(w,T2) - n(w_b,T1)].
 
     The one lab-frame Doppler integral behind every observable that
     samples a''(w_b); callers differ only in the angular weight and the
-    prefactor.  Passing t1 = 0 keeps the bath term alone and t2 = 0 the
-    particle term alone (negated: callers take _negated of the value),
-    since n(., 0) is exactly 0; the temperatures also set the cutoff.
+    signed prefactor.  Passing t1 = 0 keeps the bath term alone and
+    t2 = 0 the (negative) particle term alone, since n(., 0) is exactly
+    0; the temperatures also set the cutoff.  An exact zero comes back
+    as +0.0 whatever the sign of pref.
     """
     g = lorentz_gamma(beta)
     edges_fn, seeds = _doppler_geometry(model, beta, g)
@@ -245,13 +253,45 @@ def _doppler_integral(
             occ = bose_occupation(om, t2) - bose_occupation(wb, t1)
         return weight(x, u) * om**4 * alpha_im(model, wb) * occ
 
-    return integrate_omega_x(kern, t1, t2, beta, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
+    q = integrate_omega_x(kern, t1, t2, beta, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
+    return Quantity(pref * q.value + 0.0, abs(pref) * q.error, _diag(q, g, beta))
 
 
-def _diag_1d(q: QuadResult) -> dict:
-    # "neval" counts integrate_omega_x kernel evaluations, none on this route.
-    return {"neval": 0, "nodes": q.neval, "panels": q.panels,
-            "omega_max": q.omega_max, "omega_beta_max": q.omega_max}
+def _integrate_thermal(
+    integrand,
+    pref: float,
+    lowest: float,
+    decay: float,
+    model: PolarizabilityModel,
+    spec: QuadratureSpec,
+) -> Quantity:
+    """pref * Int_0^cut integrand(w) dw, cut = u_max * decay, as a Quantity.
+
+    `decay` is the length over which the integrand's Wien tail decays and
+    `lowest` its lowest thermal scale.  An exact 0 when the cutoff lies
+    below _OMEGA_DOMAIN_FLOOR (a zero or underflowing temperature).
+    Panel edges are the model's breakpoints and the geometric ladder
+    lowest * 2^k below the cutoff, so that an integral whose cutoff lies
+    far above its thermal scale (gamma >> 1) still puts nodes on the
+    thermal peak, with a panel count growing like log(cut/lowest).  The
+    error includes the truncation bound kernels._tail_bound.  "neval"
+    counts integrate_omega_x kernel evaluations, none on this route;
+    "nodes" counts the 1D integrand's.
+    """
+    cut = spec.u_max * decay
+    if cut < _OMEGA_DOMAIN_FLOOR:
+        return _zero("no photons: the temperature is 0 or its domain underflows")
+    seeds = list(breakpoints(model))
+    # A lowest scale that underflows to 0 would never climb to the cutoff.
+    lowest = max(lowest, _OMEGA_DOMAIN_FLOOR)
+    while lowest < cut:
+        seeds.append(lowest)
+        lowest *= 2.0
+    q = integrate_1d(integrand, 0.0, cut, spec, seeds=seeds)
+    error = q.error + _tail_bound(integrand, cut, spec)
+    return Quantity(pref * q.value + 0.0, abs(pref) * error,
+                    {"neval": 0, "nodes": q.neval, "panels": q.panels,
+                     "omega_max": cut, "omega_beta_max": cut})
 
 
 def _emitted_power(t1: float, model: PolarizabilityModel, spec: QuadratureSpec) -> Quantity:
@@ -260,33 +300,11 @@ def _emitted_power(t1: float, model: PolarizabilityModel, spec: QuadratureSpec) 
     In exact arithmetic T1 enters the observables only through P: the
     emitted intensity I1 is P(T1) at any beta and Qdot(T1) = Qdot(0) - P(T1)/gamma^2.
     """
-    cut = omega_cutoff(0.0, t1, 0.0, spec.u_max) if t1 > 0.0 else 0.0
-    if cut < _OMEGA_DOMAIN_FLOOR:
-        return _zero("no emission: T1 is 0 or its domain underflows")
 
     def integrand(om):
         return om**4 * alpha_im(model, om) * bose_occupation(om, t1)
 
-    q = _integrate_thermal(integrand, cut, t1, model, spec)
-    return Quantity((4.0 / math.pi) * q.value, (4.0 / math.pi) * q.error, _diag_1d(q))
-
-
-def _integrate_thermal(integrand, cut: float, lowest: float, model, spec) -> QuadResult:
-    """Int_0^cut of a thermal integrand with scales from `lowest` up, where
-    `cut` lies u_max of its decay lengths out.
-
-    Panel edges are the model's breakpoints and the geometric ladder
-    lowest * 2^k below the cutoff, so that an integral whose cutoff lies
-    far above its thermal scale (gamma >> 1) still puts nodes on the
-    thermal peak, with a panel count growing like log(cut/lowest).  The
-    reported error includes the truncation bound kernels._tail_bound.
-    """
-    seeds = list(breakpoints(model))
-    while lowest < cut:
-        seeds.append(lowest)
-        lowest *= 2.0
-    q = integrate_1d(integrand, 0.0, cut, spec, seeds=seeds)
-    return replace(q, error=q.error + _tail_bound(integrand, cut, spec), omega_max=cut)
+    return _integrate_thermal(integrand, 4.0 / math.pi, t1, t1, model, spec)
 
 
 def _log1m_exp(y: np.ndarray) -> np.ndarray:
@@ -352,7 +370,7 @@ def _bath_kernel(c: np.ndarray, beta: float, drag: bool) -> np.ndarray:
         x, w = x[_X_NODES // 2:], w[_X_NODES // 2:]
         c = c[..., None]
         up, um = 1.0 + beta * x, 1.0 - beta * x
-        n_up, n_um = bose_occupation(c / up, 1.0), bose_occupation(c / um, 1.0)
+        n_up, n_um = _occupation(c / up), _occupation(c / um)
         if not drag:
             return (n_up / up**2 + n_um / um**2) @ w
         # n(c/u+) - n(c/u-) through expm1(c/u+ - c/u-), and u+^-3 - u-^-3
@@ -380,16 +398,15 @@ def _bath_kernel(c: np.ndarray, beta: float, drag: bool) -> np.ndarray:
 
 def _bath_integral(
     drag: bool, beta: float, t2: float, model: PolarizabilityModel, spec: QuadratureSpec
-) -> QuadResult | None:
-    """Int w'^4 a''(w') J(w'/(gamma T2)) dw' over the rest-frame frequency w'.
+) -> Quantity:
+    """The bath term of Qdot, or the drag, as one integral over the rest-frame w'.
 
-    J is _bath_kernel's angular integral.  None when the domain up to
-    omega_cutoff(T2, 0, beta) underflows (the integral rounds to 0).
+    (2/(pi gamma^4)) Int w'^4 a''(w') J0 dw' for the heating and
+    -(2/(pi gamma^2)) Int w'^4 a''(w') J1 dw' for the drag (module
+    docstring), with J = _bath_kernel(w'/(gamma T2)).
     """
-    cut = omega_cutoff(t2, 0.0, beta, spec.u_max)
-    if cut < _OMEGA_DOMAIN_FLOOR:
-        return None
-    scale = lorentz_gamma(beta) * t2
+    g = lorentz_gamma(beta)
+    scale = g * t2
 
     def integrand(om):
         return om**4 * alpha_im(model, om) * _bath_kernel(om / scale, beta, drag)
@@ -397,7 +414,8 @@ def _bath_integral(
     # The least suppressed direction sees n(w'/(D T2)), D = sqrt((1+b)/(1-b)):
     # thermal scales run from T2/D to D T2, and the tail decays over D T2.
     blue = math.sqrt((1.0 + beta) / (1.0 - beta))
-    return _integrate_thermal(integrand, cut, t2 / blue, model, spec)
+    pref = -_PREF / g**2 if drag else _PREF / (g**2 * g**2)
+    return _integrate_thermal(integrand, pref, t2 / blue, t2 * blue, model, spec)
 
 
 def force_lab(
@@ -416,10 +434,8 @@ def force_lab(
         return _zero("integrand odd in x at beta = 0")
     if t1 == 0.0 and t2 == 0.0:
         return _zero("no photons at T1 = T2 = 0")
-    q = _doppler_integral(lambda x, u: x * u * u, b, t1, t2, model, spec)
-    g = lorentz_gamma(b)
-    pref = -_PREF * g
-    return Quantity(pref * q.value, abs(pref) * q.error, _diag(q, g, b))
+    return _doppler_integral(lambda x, u: x * u * u, -_PREF * lorentz_gamma(b), b, t1, t2,
+                             model, spec)
 
 
 def heating_rate(
@@ -437,22 +453,14 @@ def heating_rate(
     the tolerance of the net value; a rounding bound _ROUNDING * (A + P/gamma^2)
     joins the error.
     """
-    t1, t2 = state.temperature, bath.temperature
-    if t1 == 0.0 and t2 == 0.0:
-        return _zero("no photons at T1 = T2 = 0")
-    b = state.beta
+    b, t1, t2 = state.beta, state.temperature, bath.temperature
     g2 = lorentz_gamma(b) ** 2
-    pref = _PREF / (g2 * g2)
 
     def split(s: QuadratureSpec) -> tuple[Quantity, Quantity]:
         """(A, P(T1)/gamma^2)."""
-        q = _bath_integral(False, b, t2, model, s) if t2 > 0.0 else None
-        if q is None:
-            absorbed = _zero("no bath photons")
-        else:
-            absorbed = Quantity(pref * q.value, pref * q.error, _diag_1d(q))
         p = _emitted_power(t1, model, s)
-        return absorbed, Quantity(p.value / g2, p.error / g2, p.diagnostics)
+        return (_bath_integral(False, b, t2, model, s),
+                Quantity(p.value / g2, p.error / g2, p.diagnostics))
 
     absorbed, emitted = split(spec)
     gross = absorbed.value + emitted.value
@@ -482,20 +490,18 @@ def intensity(
     loses energy to radiation.
     """
     b, t1, t2 = state.beta, state.temperature, bath.temperature
-    g = lorentz_gamma(b)
-    pref = _PREF * g
+    pref = _PREF * lorentz_gamma(b)
 
     if t1 == 0.0:
         emitted = _zero("no spontaneous emission at T1 = 0")
     else:
-        q1 = _doppler_integral(lambda x, u: u * u, b, t1, 0.0, model, spec)
-        emitted = Quantity(pref * _negated(q1.value), pref * q1.error, _diag(q1, g, b))
+        # The particle term alone is -n(w_b, T1): hence -pref.
+        emitted = _doppler_integral(lambda x, u: u * u, -pref, b, t1, 0.0, model, spec)
 
     if t2 == 0.0:
         absorbed = _zero("no bath photons at T2 = 0")
     else:
-        q2 = _doppler_integral(lambda x, u: u * u, b, 0.0, t2, model, spec)
-        absorbed = Quantity(pref * q2.value, pref * q2.error, _diag(q2, g, b))
+        absorbed = _doppler_integral(lambda x, u: u * u, pref, b, 0.0, t2, model, spec)
 
     net = Quantity(
         emitted.value - absorbed.value,
@@ -520,17 +526,10 @@ def drag_combination(
     (module docstring).  Strictly negative for beta > 0, T2 > 0 and a
     nonzero passive model; equals the rest-frame force.
     """
-    b, t2 = state.beta, bath.temperature
-    if b == 0.0:
+    if state.beta == 0.0:
         return _zero("integrand odd in x at beta = 0")
-    if t2 == 0.0:
-        return _zero("no bath photons at T2 = 0")
-    q = _bath_integral(True, b, t2, model, spec)
-    if q is None:
-        return _zero("integration domain underflows at this bath temperature")
-    pref = -_PREF / lorentz_gamma(b) ** 2
-    value = pref * q.value
-    return Quantity(value, abs(pref) * q.error + _ROUNDING * abs(value), _diag_1d(q))
+    q = _bath_integral(True, state.beta, bath.temperature, model, spec)
+    return replace(q, error=q.error + _ROUNDING * abs(q.value))
 
 
 def force_rest_frame(
@@ -603,19 +602,11 @@ def force_rest_frame_nr(
         raise ValueError("low-speed form needs a bath temperature T2 > 0")
 
     def integrand(om):
-        return om**5 * alpha_im(model, om) * inv_sinh_sq(om / (2.0 * t2))
+        # 1/sinh^2(w/(2 T2)) = 4 n (n + 1)
+        n = bose_occupation(om, t2)
+        return om**5 * alpha_im(model, om) * 4.0 * n * (n + 1.0)
 
-    cut = omega_cutoff(0.0, t2, 0.0, spec.u_max)
-    if cut < _OMEGA_DOMAIN_FLOOR:
-        return _zero("integration domain underflows at this bath temperature")
-    seeds = tuple(w for w in breakpoints(model) if w < cut)
-    q = integrate_1d(integrand, 0.0, cut, spec, seeds=seeds)
-    pref = -beta / (3.0 * math.pi * t2)
-    return Quantity(
-        pref * q.value,
-        abs(pref) * q.error,
-        {"neval": q.neval, "panels": q.panels, "omega_max": cut},
-    )
+    return _integrate_thermal(integrand, -beta / (3.0 * math.pi * t2), t2, t2, model, spec)
 
 
 def evaluate_bundle(

@@ -143,11 +143,14 @@ def test_config_flag_parse_error_exits_1(tmp_path, capsys):
     assert "line 2 column" in capsys.readouterr().err
 
 
-def test_removed_balance_substeps_field_exits_1(tmp_path, capsys):
-    """The radiated energy is an ODE variable; the trapezoid's substep knob is gone."""
-    path = write_cfg(tmp_path, {"evolve": {"balance_substeps": 4}})
+@pytest.mark.parametrize("field", ["balance_substeps", "beta_floor", "temperature_tol"])
+def test_removed_balance_substeps_field_exits_1(tmp_path, capsys, field):
+    """Removed evolve fields are unknown: the radiated energy is an ODE
+    variable (no trapezoid substeps), and the steady-state thresholds are
+    dynamics constants."""
+    path = write_cfg(tmp_path, {"evolve": {field: 4}})
     assert run(["evolve", "--config", path]) == 1
-    assert "evolve.balance_substeps: unknown field" in capsys.readouterr().err
+    assert f"evolve.{field}: unknown field" in capsys.readouterr().err
 
 
 def test_config_flag_missing_file_exits_1(tmp_path, capsys):

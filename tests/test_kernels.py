@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from bbdrag import (
     lorentz_gamma,
     omega_cutoff,
 )
-from bbdrag.kernels import BETA_MAX, inv_sinh_sq
+from bbdrag.kernels import BETA_MAX
 
 SPEC = QuadratureSpec()
 
@@ -71,11 +72,91 @@ def test_bose_positive_and_monotonic_in_temperature(w, t):
         assert hotter > n
 
 
-def test_coth_and_sinh_helpers():
-    y = 0.7
-    assert inv_sinh_sq(y) == pytest.approx(1.0 / math.sinh(y) ** 2, rel=1e-14)
-    with pytest.raises(ValueError):
-        inv_sinh_sq(0.0)
+# (y, 1/expm1(y), 1/sinh(y/2)^2), the second and third rounded to the
+# nearest double from 60-digit mpmath:
+#   with mpmath.workdps(60):
+#       float(1 / mpmath.expm1(y)), float(1 / mpmath.sinh(y / 2) ** 2)
+# None where 1/sinh^2 overflows a double.  Beside a log-spaced sweep the
+# table holds y = 699.9, 700, 700.1 (a former branch switch) and the tail
+# from 709 on, where the occupation is subnormal.
+OCCUPATION_REFERENCE = (
+    (1e-300, 9.999999999999999e+299, None),
+    (1e-200, 1e+200, None),
+    (1e-150, 1e+150, 4e+300),
+    (1e-100, 1e+100, 4e+200),
+    (1e-50, 1e+50, 4e+100),
+    (1e-20, 1e+20, 4.0000000000000006e+40),
+    (1e-08, 99999999.5, 4e+16),
+    (1e-05, 99999.50000083333, 39999999999.66666),
+    (0.001, 999.5000833333319, 3999999.6666666833),
+    (0.01, 99.50083333194445, 39999.666668333324),
+    (0.1, 9.50833194477505, 399.66683326721886),
+    (0.5, 1.5414940825367982, 15.670792356131056),
+    (1.0, 0.5819767068693265, 3.682694376831169),
+    (2.0, 0.15651764274966565, 0.7240616609663104),
+    (3.0, 0.05239569649125595, 0.22056402200823905),
+    (5.0, 0.006783654906304231, 0.027318691520768226),
+    (10.0, 4.5401991009687765e-05, 0.00018161620940190164),
+    (20.0, 2.061153626686912e-09, 8.244614523741066e-09),
+    (30.0, 9.357622968841051e-14, 3.74304918753677e-13),
+    (50.0, 1.9287498479639178e-22, 7.714999391855671e-22),
+    (100.0, 3.720075976020836e-44, 1.4880303904083344e-43),
+    (200.0, 1.3838965267367376e-87, 5.53558610694695e-87),
+    (300.0, 5.148200222412013e-131, 2.0592800889648054e-130),
+    (400.0, 1.9151695967140057e-174, 7.660678386856023e-174),
+    (500.0, 7.124576406741286e-218, 2.8498305626965142e-217),
+    (600.0, 2.6503965530043108e-261, 1.0601586212017243e-260),
+    (650.0, 5.111951948651156e-283, 2.0447807794604624e-282),
+    (699.9, 1.0896627777796162e-304, 4.358651111118465e-304),
+    (700.0, 9.85967654375977e-305, 3.943870617503908e-304),
+    (700.1, 8.921404266525102e-305, 3.568561706610041e-304),
+    (705.0, 6.643397797997952e-307, 2.6573591191991808e-306),
+    (708.0, 3.307553003638408e-308, 1.3230212014553631e-307),
+    (709.0, 1.216780750623423e-308, 4.867123002493693e-308),
+    (709.5, 7.38014831401258e-309, 2.9520593256050323e-308),
+    (709.7, 6.04235438695844e-309, 2.4169417547833775e-308),
+    (709.8, 5.467348342354227e-309, 2.1869393369416917e-308),
+    (710.0, 4.47628622567513e-309, 1.790514490270052e-308),
+    (711.0, 1.64673367522479e-309, 6.586934700899165e-309),
+    (715.0, 3.016097934134e-311, 1.2064391736534e-310),
+    (720.0, 2.0322308024e-313, 8.12892320967e-313),
+    (725.0, 1.36930634e-315, 5.477225376e-315),
+    (730.0, 9.226315e-318, 3.6905256e-317),
+    (735.0, 6.217e-320, 2.48663e-319),
+    (740.0, 4.2e-322, 1.675e-321),
+    (742.0, 5.4e-323, 2.27e-322),
+    (744.0, 1e-323, 3e-323),
+    (745.0, 5e-324, 1e-323),
+)
+SUBNORMAL_ULP = 5e-324
+
+
+def assert_rounded(got: float, ref: float, ulps: float, what) -> None:
+    """5e-16 relative where ref is a normal double, else `ulps` subnormal ulps."""
+    if ref >= sys.float_info.min:
+        assert abs(got - ref) <= 5e-16 * ref, what
+    else:
+        assert abs(got - ref) <= ulps * SUBNORMAL_ULP, what
+
+
+def test_bose_occupation_matches_mpmath_over_the_double_range():
+    y = np.array([row[0] for row in OCCUPATION_REFERENCE])
+    n = bose_occupation(y, 1.0)
+    for (yi, ref, _), got in zip(OCCUPATION_REFERENCE, n):
+        assert_rounded(got, ref, 1.0, yi)
+        assert_rounded(bose_occupation(yi, 1.0), ref, 1.0, yi)
+
+
+def test_inverse_sinh_squared_from_the_occupation_matches_mpmath():
+    """1/sinh^2(y/2) = 4 n (n + 1), the low-speed friction kernel.
+
+    4 n is exact, so in the subnormal tail it carries four times the
+    rounding of n.
+    """
+    for yi, _, ref in OCCUPATION_REFERENCE:
+        if ref is not None:
+            n = bose_occupation(yi, 1.0)
+            assert_rounded(4.0 * n * (n + 1.0), ref, 4.0, yi)
 
 
 # ------------------------------------------------------------------ doppler

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbdrag import (
+    BETA_MAX,
     BathSpec,
     Ohmic,
     ParticleState,
@@ -239,6 +240,19 @@ def test_2d_error_covers_the_truncation_at_the_cutoff():
     assert abs(cut.value - wide.value) <= cut.error
 
 
+def test_low_speed_rest_force_error_covers_the_truncation_at_the_cutoff():
+    """Doubling u_max moves force_rest_frame_nr by less than its own error.
+
+    Without the tail bound the move was 131x the error for the Ohmic
+    model without a cutoff and 12x for Ohmic(1, 5) at T2 = 0.3.
+    """
+    cases = ((Ohmic(slope=1.0, omega_c=None), 1.0), (Ohmic(slope=1.0, omega_c=5.0), 0.3))
+    for model, t2 in cases:
+        cut = force_rest_frame_nr(1e-3, BathSpec(t2), model, SPEC)
+        wide = force_rest_frame_nr(1e-3, BathSpec(t2), model, QuadratureSpec(u_max=80.0))
+        assert abs(cut.value - wide.value) <= cut.error, (model, t2)
+
+
 def test_diagnostics_present():
     state = ParticleState(beta=0.4, mass=1.0, temperature=1.0)
     q = force_lab(state, BathSpec(1.0), REFERENCE_MODELS[0], SPEC)
@@ -307,6 +321,12 @@ def test_subnormal_temperatures_round_to_zero_photons():
     assert net.value == emitted.value == absorbed.value == 0.0
     assert force_rest_frame(state, bath, model, SPEC).value == 0.0
     assert force_rest_frame_nr(0.05, bath, model, SPEC).value == 0.0
+
+    # Near BETA_MAX the 1D cutoff u_max * T2 * D stays node-mappable at
+    # T2 = 1e-320 while the lowest thermal scale T2 / D rounds to 0.
+    fast = ParticleState(beta=BETA_MAX, mass=1.0, temperature=0.0)
+    assert heating_rate(fast, BathSpec(1e-320), model, SPEC).value == 0.0
+    assert drag_combination(fast, BathSpec(1e-320), model, SPEC).value == 0.0
 
     warm = BathSpec(2.0)
     cold = ParticleState(beta=0.4, mass=1.0, temperature=tiny)
