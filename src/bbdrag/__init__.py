@@ -39,7 +39,6 @@ from .kernels import (
     integrate_1d,
     integrate_omega_x,
     lorentz_gamma,
-    omega_cutoff,
 )
 from .observables import (
     BathSpec,
@@ -145,7 +144,6 @@ __all__ = [
     "mint_golden",
     "model_from_dict",
     "model_to_dict",
-    "omega_cutoff",
     "oracle_value",
     "riemann_2d",
     "spontaneous_term_cancellation",

@@ -14,9 +14,8 @@ Exit codes: 0 success, 1 input error (bad flags, malformed config),
 3 verify-suite failure.
 
 All output is deterministic: identical config and command produce
-byte-identical files, independent of thread count (sweep results are
-assembled in grid order, not completion order).  JSON output reports
-every physical quantity in internal units and in SI.
+byte-identical files (a sweep evaluates its grid serially, in order).
+JSON output reports every physical quantity in internal units and in SI.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 -- perfbench's tracer patches it by name
 from pathlib import Path
 
 import numpy as np
@@ -308,14 +306,18 @@ def _write(target: str, content: str | dict):
 
     JSON has sorted keys and must be strict: NaN and Infinity raise
     instead of being written, so a value a command cannot define goes
-    out as null.
+    out as null.  A file that cannot be written is a ConfigError on
+    output.target.
     """
     if not isinstance(content, str):
         content = json.dumps(content, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if target == "-":
         sys.stdout.write(content)
-    else:
+        return
+    try:
         Path(target).write_text(content)
+    except OSError as e:
+        raise ConfigError(f"output.target {target}: {e.strerror or e}") from e
 
 
 def write_output(rows, columns, fmt: str, target: str, json_extra: dict | None = None):
@@ -492,22 +494,7 @@ def _cmd_sweep(cfg: RunConfig, observable: str, param: str, grid: np.ndarray) ->
         q = fn(state, bath, cfg.model, cfg.quadrature)
         return q.value, q.error
 
-    env = os.environ.get("BBDRAG_THREADS", "")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as e:
-            raise ConfigError(f"BBDRAG_THREADS: expected an integer, got {env!r}") from e
-        if cap < 1:
-            raise ConfigError(f"BBDRAG_THREADS: must be >= 1, got {cap}")
-    else:
-        cap = min(8, os.cpu_count() or 1)
-    workers = max(1, min(cap, len(grid)))
-    if workers == 1:
-        results = [eval_point(v) for v in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(eval_point, grid))  # grid order, not completion order
+    results = [eval_point(v) for v in grid]
 
     rows = [
         {param: float(v), "value": val, "error": err}

@@ -185,28 +185,6 @@ def bose_occupation(omega, temperature: float):
     return out
 
 
-def omega_cutoff(t1: float, t2: float, beta: float, u_max: float) -> float:
-    """Truncation frequency for the thermal double integrals.
-
-    max(u_max * T2, u_max * T1 * sqrt((1+beta)/(1-beta))): the blue-shift
-    factor on the T1 scale guarantees the rest-frame occupation
-    n(gamma*omega*(1+beta*x), T1) has decayed at the cutoff for every
-    x in [-1, 1], since its argument is at least omega*sqrt((1-b)/(1+b)).
-    """
-    if t1 < 0.0 or t2 < 0.0:
-        raise ValueError(f"temperatures must be >= 0, got {t1!r}, {t2!r}")
-    if t1 == 0.0 and t2 == 0.0:
-        raise ValueError(
-            "omega_cutoff is undefined at T1 = T2 = 0; every integrand is "
-            "identically zero there and callers short-circuit"
-        )
-    b = _check_beta(beta)
-    if not (math.isfinite(u_max) and u_max > 0.0):
-        raise ValueError(f"u_max must be positive, got {u_max!r}")
-    blue = math.sqrt((1.0 + b) / (1.0 - b))
-    return u_max * max(t2, t1 * blue)
-
-
 def _panel_pair(f, lo, hi):
     """Evaluate the GL pair on a batch of panels.
 
@@ -352,9 +330,7 @@ def _tail_bound(f, cut: float, spec: QuadratureSpec) -> float:
 
 def integrate_omega_x(
     kernel,
-    t1: float,
-    t2: float,
-    beta: float,
+    decay: float,
     spec: QuadratureSpec,
     inner_edges_fn=None,
     outer_seeds=(),
@@ -363,17 +339,16 @@ def integrate_omega_x(
 
     Fixed-order Gauss-Legendre across x (``spec.inner_nodes`` points)
     inside adaptive quadrature over omega, truncated at
-    omega_max = ``omega_cutoff(t1, t2, beta, spec.u_max)``.
+    omega_max = ``spec.u_max * decay``.
 
     Parameters
     ----------
     kernel : callable
         kernel(omega, x) with broadcasting: omega comes shaped
         (..., 1) or (..., 1, 1) against x of shape (n,) or (panels, n).
-    t1, t2 : float
-        Temperature scales used only for the automatic cutoff.
-    beta : float
-        Speed, for the cutoff blue-shift factor.
+    decay : float
+        Length in omega over which the kernel's Wien tail decays, for
+        every x in [-1, 1]; the caller knows its thermal scales.
     spec : QuadratureSpec
     inner_edges_fn : callable, optional
         Maps a flat omega array (N,) to an ascending edge array
@@ -390,7 +365,7 @@ def integrate_omega_x(
         cutoff; neval counts kernel point evaluations; omega_max records
         the cutoff.
     """
-    omega_max = omega_cutoff(t1, t2, beta, spec.u_max)
+    omega_max = spec.u_max * decay
     if omega_max < _OMEGA_DOMAIN_FLOOR:
         return QuadResult(0.0, 0.0, 0, 0, float(omega_max))
 

@@ -234,8 +234,10 @@ def _doppler_integral(
     samples a''(w_b); callers differ only in the angular weight and the
     signed prefactor.  Passing t1 = 0 keeps the bath term alone and
     t2 = 0 the (negative) particle term alone, since n(., 0) is exactly
-    0; the temperatures also set the cutoff.  An exact zero comes back
-    as +0.0 whatever the sign of pref.
+    0.  The cutoff is u_max * max(T2, D T1), D = sqrt((1+b)/(1-b)): the
+    particle term n(w_b, T1) has its argument w_b >= w / D, so it decays
+    over D T1 in w.  An exact zero comes back as +0.0 whatever the sign
+    of pref.
     """
     g = lorentz_gamma(beta)
     edges_fn, seeds = _doppler_geometry(model, beta, g)
@@ -253,7 +255,8 @@ def _doppler_integral(
             occ = bose_occupation(om, t2) - bose_occupation(wb, t1)
         return weight(x, u) * om**4 * alpha_im(model, wb) * occ
 
-    q = integrate_omega_x(kern, t1, t2, beta, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
+    decay = max(t2, t1 * math.sqrt((1.0 + beta) / (1.0 - beta)))
+    q = integrate_omega_x(kern, decay, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
     return Quantity(pref * q.value + 0.0, abs(pref) * q.error, _diag(q, g, beta))
 
 
@@ -559,10 +562,10 @@ def force_rest_frame(
         u = 1.0 + b * x
         return x * om**4 * alpha_im(model, om) * bose_occupation(g * om * u, t2)
 
-    # The occupation argument is red-shifted down to w/sqrt((1+b)/(1-b))
-    # at x = -1, so the cutoff needs the same blue-shift factor a moving
-    # particle temperature would get: pass t2 through the first slot.
-    q = integrate_omega_x(kern, t2, 0.0, b, spec, outer_seeds=breakpoints(model))
+    # The occupation argument is red-shifted down to w/D, D = sqrt((1+b)/(1-b)),
+    # at x = -1, so the tail decays over D T2.
+    decay = t2 * math.sqrt((1.0 + b) / (1.0 - b))
+    q = integrate_omega_x(kern, decay, spec, outer_seeds=breakpoints(model))
     return Quantity(_PREF * q.value, _PREF * q.error, _diag(q, g, b))
 
 

@@ -37,7 +37,6 @@ def _load_tracer(monkeypatch):
 
 
 def test_tracer_records_every_cli_layer_and_uninstalls(monkeypatch, capsys):
-    monkeypatch.setenv("BBDRAG_THREADS", "2")
     before = {name: getattr(cli, name) for name in PATCHED}
     point = ["--beta", "0.5", "--t1", "1.0", "--t2", "1.0"]
     tracer = _load_tracer(monkeypatch)
@@ -60,7 +59,7 @@ def test_tracer_records_every_cli_layer_and_uninstalls(monkeypatch, capsys):
             assert cli.run(argv) == 0, command
             names = {sp.name for sp in tracer.spans}
             assert {"cli.run", expected[command]} <= names, (command, sorted(names))
-        assert tracer.sweep_workers == [2]
+        assert tracer.sweep_workers == []
     finally:
         tracer.uninstall()
         capsys.readouterr()

@@ -9,9 +9,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bbdrag import IdentityCheck
+from bbdrag import (
+    IdentityCheck,
+    ParticleState,
+    drag_combination,
+    equilibrium_temperature,
+    force_lab,
+    force_rest_frame,
+    heating_rate,
+    intensity,
+)
 from bbdrag.cli import ConfigError, load_config, run
 from bbdrag.dynamics import EvolveConfig
 from bbdrag.kernels import QuadratureSpec
@@ -505,14 +515,30 @@ def test_sweep_bad_range_syntax(capsys):
     capsys.readouterr()
 
 
-def test_sweep_bad_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BBDRAG_THREADS", "zero")
-    code = run(
-        ["sweep", "--observable", "drag", "--beta", "0:0.5:3",
-         "--config", write_cfg(tmp_path, TOPHAT_CFG)]
-    )
-    assert code == 1
-    assert "BBDRAG_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("observable", ["force", "heat", "intensity", "drag",
+                                        "restframe-force", "equilibrium-temp"])
+def test_sweep_rows_equal_the_one_shot_values_in_grid_order(tmp_path, observable):
+    cfg = load_config(TOPHAT_CFG)
+    rest = (cfg.bath, cfg.model, cfg.quadrature)
+    fn = {"force": force_lab, "heat": heating_rate, "intensity": intensity,
+          "drag": drag_combination, "restframe-force": force_rest_frame}.get(observable)
+    grid = np.linspace(0.0, 0.6, 3)
+    out = tmp_path / "sweep.csv"
+    assert run(
+        ["sweep", "--observable", observable, "--beta", "0:0.6:3",
+         "--config", write_cfg(tmp_path, TOPHAT_CFG), "--output", str(out)]
+    ) == 0
+    expected = ["beta,value,error"]
+    for beta in grid:
+        state = ParticleState(float(beta), cfg.particle.mass, cfg.particle.temperature)
+        if observable == "equilibrium-temp":
+            value, error = equilibrium_temperature(state.beta, *rest), 0.0
+        else:
+            q = fn(state, *rest)
+            q = q[0] if observable == "intensity" else q  # the net intensity
+            value, error = q.value, q.error
+        expected.append(f"{float(beta):.12g},{value:.12g},{error:.12g}")
+    assert out.read_text().splitlines() == expected
 
 
 def test_sweep_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
@@ -527,6 +553,22 @@ def test_sweep_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
         ) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["force", "--beta", "0.5", "--format", "json"],
+    ["sweep", "--observable", "heat", "--beta", "0:0.5:2"],
+], ids=["force-json", "sweep-csv"])
+def test_unwritable_output_target_exits_1_without_a_traceback(tmp_path, command):
+    target = tmp_path / "missing" / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbdrag.cli", *command,
+         "--config", write_cfg(tmp_path, TOPHAT_CFG), "--output", str(target)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "output.target" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ------------------------------------------------------------- mint-golden

@@ -17,7 +17,6 @@ from bbdrag import (
     integrate_1d,
     integrate_omega_x,
     lorentz_gamma,
-    omega_cutoff,
 )
 from bbdrag.kernels import BETA_MAX
 
@@ -171,17 +170,6 @@ def test_lorentz_gamma_values():
             lorentz_gamma(bad)
 
 
-def test_omega_cutoff():
-    assert omega_cutoff(2.0, 3.0, 0.0, 40.0) == 120.0
-    blue = math.sqrt(1.8 / 0.2)  # = 3 at beta = 0.8
-    assert omega_cutoff(2.0, 3.0, 0.8, 40.0) == pytest.approx(40.0 * 2.0 * blue, rel=1e-15)
-    assert omega_cutoff(0.0, 1.0, 0.9, 40.0) == 40.0
-    with pytest.raises(ValueError, match="undefined"):
-        omega_cutoff(0.0, 0.0, 0.5, 40.0)
-    with pytest.raises(ValueError):
-        omega_cutoff(-1.0, 1.0, 0.5, 40.0)
-
-
 # ----------------------------------------------------------- quadrature, 1D
 
 
@@ -287,10 +275,10 @@ def test_separable_product_closed_form():
     def kernel(om, x):
         return om**3 * bose_occupation(om, 1.0) * x**2
 
-    r = integrate_omega_x(kernel, 1.0, 0.0, 0.0, SPEC)
+    r = integrate_omega_x(kernel, 1.0, SPEC)
     expected = (math.pi**4 / 15.0) * (2.0 / 3.0)
     assert r.value == pytest.approx(expected, rel=1e-9)
-    assert r.omega_max == 40.0  # omega_cutoff at u_max = 40, T = 1
+    assert r.omega_max == 40.0  # u_max = 40 decay lengths
 
 
 def test_inner_angular_weight_closed_form():
@@ -299,7 +287,7 @@ def test_inner_angular_weight_closed_form():
     def kernel(om, x):
         return om**3 * bose_occupation(om, 1.0) * x * (1.0 + 0.5 * x) ** -3.0
 
-    r = integrate_omega_x(kernel, 1.0, 0.0, 0.5, SPEC)
+    r = integrate_omega_x(kernel, math.sqrt(3.0), SPEC)
     expected = (math.pi**4 / 15.0) * (-16.0 / 9.0)
     assert r.value == pytest.approx(expected, rel=1e-9)
 
@@ -315,6 +303,6 @@ def test_inner_edges_fn_handles_discontinuous_band():
         flat = np.broadcast_to(np.array([-1.0, lo, hi, 1.0]), (om.size, 4))
         return np.ascontiguousarray(flat)
 
-    r = integrate_omega_x(kernel, 0.0, 1.0, 0.0, SPEC, inner_edges_fn=edges)
+    r = integrate_omega_x(kernel, 1.0, SPEC, inner_edges_fn=edges)
     # integral of om*exp(-om) over [0, 40] ~= 1; x-width = 0.5
     assert r.value == pytest.approx(0.5, rel=1e-10)

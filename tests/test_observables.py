@@ -264,6 +264,29 @@ def test_diagnostics_present():
     )
 
 
+def test_2d_cutoffs_are_u_max_decay_lengths_of_each_callers_thermal_scale():
+    """omega_max = u_max * max(T2, D T1) on the lab-frame route, u_max * D T2
+    for the rest force, D = sqrt((1+b)/(1-b)): the least suppressed
+    occupation decays over that length at every x."""
+    t1, t2, u = 2.0, 3.0, SPEC.u_max
+    model, bath = TopHat(1.0, 0.5, 1.5), BathSpec(t2)
+
+    def cutoffs(beta):
+        state = ParticleState(beta, 1.0, t1)
+        _, emitted, absorbed = intensity(state, bath, model, SPEC)
+        return (force_lab(state, bath, model, SPEC).diagnostics.get("omega_max"),
+                emitted.diagnostics["omega_max"], absorbed.diagnostics["omega_max"],
+                force_rest_frame(state, bath, model, SPEC).diagnostics.get("omega_max"))
+
+    d = math.sqrt((1.0 + 0.8) / (1.0 - 0.8))
+    expected = (u * max(t2, t1 * d), u * (t1 * d), u * t2, u * (t2 * d))
+    assert cutoffs(0.8) == expected
+    assert expected == pytest.approx((240.0, 240.0, 120.0, 360.0), rel=1e-15)
+    # at rest the forces short-circuit and carry no cutoff
+    assert cutoffs(0.0) == (None, u * t1, u * t2, None)
+    assert u * t1 == 80.0 and u * t2 == 120.0
+
+
 def test_rest_force_linear_in_beta_at_small_beta():
     bath = BathSpec(1.0)
     model = Ohmic(1.0, 5.0)
