@@ -12,8 +12,7 @@ coupled slowdown/heating equations of motion.
 from .consistency import (
     ConsistencyReport,
     IdentityCheck,
-    energy_balance_residual,
-    frame_force_residual,
+    force_rest_frame_alt,
     inner_closed_forms,
     spontaneous_term_cancellation,
     verify_all,
@@ -49,7 +48,6 @@ from .observables import (
     evaluate_bundle,
     force_lab,
     force_rest_frame,
-    force_rest_frame_alt,
     force_rest_frame_nr,
     heating_rate,
     intensity,
@@ -124,7 +122,6 @@ __all__ = [
     "check_point_dipole",
     "derivatives",
     "drag_combination",
-    "energy_balance_residual",
     "equilibrium_temperature",
     "evaluate_bundle",
     "evolve",
@@ -132,7 +129,6 @@ __all__ = [
     "force_rest_frame",
     "force_rest_frame_alt",
     "force_rest_frame_nr",
-    "frame_force_residual",
     "heating_rate",
     "inner_closed_forms",
     "integrate_1d",

@@ -53,7 +53,7 @@ from .observables import (
     heating_rate,
     intensity,
 )
-from .oracle import OracleError, mint_builtin
+from .oracle import OracleError, default_golden_path, mint_builtin
 from .polarizability import check_point_dipole, model_from_dict
 from .units import C_LIGHT, HBAR, UnitSystem, beta_from_velocity
 
@@ -481,11 +481,12 @@ def _cmd_sweep(cfg: RunConfig, observable: str, param: str, grid: np.ndarray) ->
         )
     kind, fn = _SWEEP_OBSERVABLES[observable]
 
-    def eval_point(value: float) -> tuple[float, float]:
+    def point_of(value: float) -> tuple[ParticleState, BathSpec]:
         point = {"beta": cfg.particle.beta, "t1": cfg.particle.temperature,
                  "t2": cfg.bath.temperature, param: value}
-        state = ParticleState(point["beta"], cfg.particle.mass, point["t1"])
-        bath = BathSpec(point["t2"])
+        return ParticleState(point["beta"], cfg.particle.mass, point["t1"]), BathSpec(point["t2"])
+
+    def eval_point(state: ParticleState, bath: BathSpec) -> tuple[float, float]:
         if observable == "equilibrium-temp":
             return equilibrium_temperature(state.beta, bath, cfg.model, cfg.quadrature), 0.0
         if observable == "intensity":
@@ -494,7 +495,12 @@ def _cmd_sweep(cfg: RunConfig, observable: str, param: str, grid: np.ndarray) ->
         q = fn(state, bath, cfg.model, cfg.quadrature)
         return q.value, q.error
 
-    results = [eval_point(v) for v in grid]
+    points = [point_of(v) for v in grid]
+    if cfg.radius is not None and param != "beta":
+        # load_config checked the base temperatures; the hottest grid point decides.
+        check_point_dipole(cfg.radius, max(s.temperature for s, _ in points),
+                           max(b.temperature for _, b in points))
+    results = [eval_point(*p) for p in points]
 
     rows = [
         {param: float(v), "value": val, "error": err}
@@ -517,7 +523,11 @@ def _cmd_sweep(cfg: RunConfig, observable: str, param: str, grid: np.ndarray) ->
 
 
 def _cmd_mint_golden(target: str | None) -> int:
-    records = mint_builtin(target) if target else mint_builtin()
+    try:
+        records = mint_builtin(target) if target else mint_builtin()
+    except OSError as e:
+        path = target or default_golden_path()
+        raise ConfigError(f"output.target {path}: {e.strerror or e}") from e
     for rec in records:
         sys.stderr.write(
             f"minted {rec['name']}: {rec['value']:.12g} "

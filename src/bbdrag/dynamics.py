@@ -22,7 +22,8 @@ energy-balance identity applied to the same two rates, so it costs no
 further integral.  It is excluded from the step controller's error
 norm, so the steps are those of the physical variables alone.  At every
 accepted step the instantaneous balance |I_2D - I| is evaluated with an
-independent quadrature, the 2D lab-frame Doppler integral I_2D, and
+independent quadrature, the 2D lab-frame Doppler integral I_2D
+(consistency._net_intensity, shared with verify_all), and
 must stay within its combined quadrature error budget; in full mode I
 equals -d(gamma*m)/dt, the statement that kinetic-plus-rest energy is
 lost exactly at the radiated rate.  The reported radiated energy is
@@ -51,6 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .consistency import _net_intensity
 from .kernels import BETA_MAX, QuadratureSpec, lorentz_gamma
 from .kernels import bose_occupation  # noqa: F401 -- perfbench's tracer patches it by name
 from .kernels import integrate_omega_x  # noqa: F401 -- perfbench's tracer patches it by name
@@ -58,16 +60,12 @@ from .observables import (
     DEFAULT_QUADRATURE,
     BathSpec,
     ParticleState,
-    Quantity,
-    _doppler_integral,
     _emitted_power,
     drag_combination,
     heating_rate,
 )
 from .polarizability import PolarizabilityModel
 from .polarizability import alpha_im  # noqa: F401 -- perfbench's tracer patches it by name
-
-_PREF = 2.0 / math.pi
 
 # Relative size of the C_s*T1 correction below which it is dropped.
 _CORRECTION_CUT = 1e-12
@@ -220,30 +218,11 @@ def _lab_force_and_intensity(beta: float, fp: float, qd: float) -> tuple[float, 
     """(F_x, I) from F' and Qdot: F_x = F' + gamma^2 beta Qdot, I = -(Qdot + beta F_x).
 
     The energy-balance identity on the two rates; evolve integrates this
-    I and checks it against the independent _net_intensity.
+    I and checks it against the independent 2D _net_intensity.
     """
     g = lorentz_gamma(beta)
     f_lab = fp + g * g * beta * qd
     return f_lab, -(qd + beta * f_lab)
-
-
-def _net_intensity(
-    state: ParticleState,
-    bath: BathSpec,
-    model: PolarizabilityModel,
-    spec: QuadratureSpec,
-) -> Quantity:
-    """Net radiated power I = I1 - I2 in a single quadrature.
-
-    Used by the trajectory monitor: evaluating I directly (rather than
-    reconstructing it from the RHS values) keeps the energy-balance
-    check non-circular while costing one integral instead of two.
-    """
-    b, t1, t2 = state.beta, state.temperature, bath.temperature
-    if t1 == 0.0 and t2 == 0.0:
-        return Quantity(0.0, 0.0, {"short_circuit": "no photons"})
-    # The shared integral is absorbed minus emitted, so I is its negation.
-    return _doppler_integral(lambda x, u: u * u, -_PREF * lorentz_gamma(b), b, t1, t2, model, spec)
 
 
 @lru_cache(maxsize=1024)

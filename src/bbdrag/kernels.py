@@ -17,17 +17,19 @@ accumulated in ascending-interval order, single-threaded, so results
 are bitwise reproducible regardless of how callers parallelize around
 the engine.
 
-The double integrals over (omega, x) use a fixed-order Gauss-Legendre
-rule across x in [-1, 1] inside the adaptive omega integral.  The inner
-integrand is smooth for the smooth polarizability models; models with
-jumps publish breakpoints, and callers pass ``inner_edges_fn`` so the
-inner rule is applied piecewise between the exact jump images, keeping
-spectral accuracy.  The fixed inner order is a documented trade: it
-must resolve the narrowest spectral feature of the model (the
-``inner_nodes`` knob raises it), and the reported error has no term for
-the inner rule.  No test guards it: doubling ``inner_nodes`` from 64 to
-128 moves some 2D values by up to about 128 times their own error
-(ROADMAP, F8).
+The double integrals over (omega, x) -- the verification route of the
+consistency checks and the trajectory monitor; no production observable
+uses them -- apply a fixed-order Gauss-Legendre rule across x in
+[-1, 1] inside the adaptive omega integral.  The inner integrand is
+smooth for the smooth polarizability models; models with jumps publish
+breakpoints, and callers pass ``inner_edges_fn`` so the inner rule is
+applied piecewise between the exact jump images, keeping spectral
+accuracy.  The fixed inner order is a documented trade: it must resolve
+the narrowest spectral feature of the model (the ``inner_nodes`` knob
+raises it), and the reported error has no term for the inner rule.  No
+test guards it: doubling ``inner_nodes`` from 64 to 128 moves some 2D
+values by up to about 128 times their own error, and from beta ~ 0.97
+up the 2D values miss by many times their errors (ROADMAP, F2 and F8).
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class QuadratureSpec:
     attainable floor.  u_max sets the frequency cutoff in units of the
     relevant thermal scale.  max_subdivisions is the total panel-split
     budget of one adaptive integral.  inner_nodes is the fixed
-    Gauss-Legendre order across x.
+    Gauss-Legendre order across x of the 2D verification quadrature
+    (integrate_omega_x); no production observable uses it.
     """
 
     rel_tol: float = 1e-9

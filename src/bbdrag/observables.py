@@ -5,7 +5,7 @@ through an isotropic photon bath of temperature T2.  All quantities are
 internal units (hbar = c = k_B = 1); x is the arrival-direction cosine
 of a lab photon and w_b = gamma*w*(1 + beta*x) its rest-frame
 (Doppler) frequency.  With a'' the dissipative polarizability and
-n(w, T) the Bose occupation, the observables are the lab-frame forms
+n(w, T) the Bose occupation, the observables are defined by the lab-frame forms
 
   force_lab      F_x  = -(2 gamma/pi) Int dw w^4 Int dx
                           x (1+bx)^2 a''(w_b) [n(w,T2) - n(w_b,T1)]
@@ -31,27 +31,28 @@ Identities above hold exactly for the integrals; numerically they hold
 to combined quadrature error, which is what the consistency module
 checks.
 
-Two routes evaluate these forms.  The production route of the two
-rates the equations of motion need substitutes the rest-frame frequency
+Every observable is evaluated by substituting the rest-frame frequency
 w' = gamma*w*(1+bx).  The angular integral of each bath term then has a
 closed form in c = w'/(gamma*T2), and T1 enters only through the
-rest-frame emission P(T1) = (4/pi) Int w^4 a''(w) n(w,T1) dw:
+rest-frame emission P(T1) = (4/pi) Int w^4 a''(w) n(w,T1) dw.  With
+u = 1 + bx and W[J] = Int dw' w'^4 a''(w') J(c):
 
-  heating_rate   Qdot = (2/(pi gamma^4)) Int dw' w'^4 a''(w') J0(c) - P(T1)/gamma^2
-                 J0(c) = Int dx u^-2 n(c/u)
-                       = ln[(1 - e^{-c/(1-b)}) / (1 - e^{-c/(1+b)})] / (b c)
-  drag           -(2/(pi gamma^2)) Int dw' w'^4 a''(w') J1(c)
-                 J1(c) = Int dx (x+b) u^-3 n(c/u),  u = 1 + bx,
+  heating_rate   Qdot = (2/(pi gamma^4)) W[J0] - P(T1)/gamma^2
+  force_lab      F_x  = -(2/(pi gamma^4)) W[K] - beta P(T1)
+  intensity      I1   = P(T1),  I2 = (2/(pi gamma^4)) W[M1]
+  drag           -(2/(pi gamma^2)) W[J1] = force_rest_frame
 
-J1 in closed form through ln(1 - e^{-y}) and Li2(e^{-y}) (_bath_kernel).
-Each is one adaptive 1D integral over w' with no integrate_omega_x
-call.  The verification route is the 2D lab-frame Doppler quadrature:
-every a''(w_b) integral -- force_lab, intensity, the spontaneous terms
-in consistency and the trajectory monitor -- is one _doppler_integral
-call with its own weight and signed prefactor, and force_rest_frame
-keeps its own 2D kernel.  So energy balance, the frame force, the drag
-composition, the dual rest force and the trajectory monitor each
-compare a 1D value with 2D quadratures.
+  J0(c) = Int dx u^-2 n(c/u) = ln[(1 - e^{-c/(1-b)}) / (1 - e^{-c/(1+b)})] / (b c)
+  M1(c) = Int dx u^-3 n(c/u),   K(c) = Int dx x u^-3 n(c/u),
+  J1(c) = Int dx (x+b) u^-3 n(c/u) = K + b M1,
+
+K and J1 in closed form through ln(1 - e^{-y}) and Li2(e^{-y}), and
+M1 = J0 - b K (_bath_kernel).  Each bath term is one adaptive 1D
+integral over w' with no integrate_omega_x call.  The 2D lab-frame
+Doppler quadrature (_doppler_integral) is the verification route only:
+consistency builds the lab force, the net intensity, the direct rest
+force and the spontaneous terms from it, and verify_all and the
+trajectory monitor compare the 1D values with them.
 
 Each route has one helper that returns the finished Quantity:
 _doppler_integral for the 2D integrals and _integrate_thermal for the
@@ -106,6 +107,13 @@ _X_NODES = 16
 # their terms: the kernels above (<= 3.4e-15 each) and the P(T1)
 # subtraction in the heating rate.
 _ROUNDING = 4.0e-15
+# Rounding bounds of the kernels M1 (I2) and K (F_x), twice the largest
+# error against 60-digit mpmath over c in [1e-5, 60] and beta from 1e-8
+# to BETA_MAX (tests/test_bath_integrals.py): 5.6e-15 of M1, and 4e-14
+# of beta * M1 for K, which changes sign in c.  Both peak at the largest
+# c, where the rounding of c/u is amplified by the exponential.
+_ABSORB_ROUNDING = 1.2e-14
+_FORCE_ROUNDING = 8.0e-14
 
 # Bernoulli numbers B_2, B_4, ..., B_22 of n(y) = 1/y - 1/2 + sum
 # B_2m y^(2m-1)/(2m)!, which converges for y < 2 pi; used for y <= 1.
@@ -337,36 +345,44 @@ def _li2_exp(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _drag_series(c: np.ndarray, beta: float, g2: float) -> np.ndarray:
-    """Int_a^b (y0 - y) n(y) dy of _bath_kernel, as a series in c for b <= 1.
+def _odd_series(c: np.ndarray, beta: float, g2: float, s: float) -> np.ndarray:
+    """Int_a^b (s c - y) n(y) dy of _bath_kernel, as a series in c for b <= 1.
 
-    From the Bernoulli series of n(y); the c^2 term vanishes identically.
+    From the Bernoulli series of n(y).  Its c^2 term beta g2 (g2 - s) c^2
+    comes from the -1/2 of n and vanishes for the drag (s = gamma^2).
     """
     p, q = 1.0 / (1.0 + beta), 1.0 / (1.0 - beta)
-    coef = [g2 * math.log1p(2.0 * beta / (1.0 - beta)) - 2.0 * beta * g2]
+    coef = [s * math.log1p(2.0 * beta / (1.0 - beta)) - 2.0 * beta * g2]
     for m, b2m in enumerate(_BERNOULLI, 1):
         k = 2 * m
         coef.append(b2m / math.factorial(k)
-                    * (g2 * (q**k - p**k) / k - (q ** (k + 1) - p ** (k + 1)) / (k + 1)))
+                    * (s * (q**k - p**k) / k - (q ** (k + 1) - p ** (k + 1)) / (k + 1)))
     c2 = c * c
     acc = np.zeros_like(c)
     for f in reversed(coef):
         acc = acc * c2 + f
-    return acc * c
+    return acc * c + beta * g2 * (g2 - s) * c2
 
 
-def _bath_kernel(c: np.ndarray, beta: float, drag: bool) -> np.ndarray:
+def _bath_kernel(c: np.ndarray, beta: float, kind: str) -> np.ndarray:
     """Angular integral of the bath occupation at c = w'/(gamma T2), u = 1 + beta x.
 
-    Heating: Int u^-2 n(c/u) dx; drag: Int (x + beta) u^-3 n(c/u) dx,
-    both over [-1, 1].  With y = c/u they become integrals over
-    [a, b] = [c/(1+beta), c/(1-beta)]: (1/(beta c)) Int n dy and
-    (1/(beta^2 gamma^2 c^2)) Int (y0 - y) n(y) dy with y0 = gamma^2 c,
-    closed forms in ln(1 - e^-y) and Li2(e^-y).  Their differences lose
-    about eps/beta^2, so below _CLOSED_FORM_BETA a Gauss-Legendre rule
-    in x takes over, pairing x with -x so that the odd part is formed
-    from differences that do not cancel.  Above it the drag's terms
-    still cancel where c/(1-beta) <= 1; there _drag_series takes over.
+    Over x in [-1, 1], by `kind`:
+
+      "heat"    J0 = Int u^-2 n(c/u) dx            (Qdot)
+      "absorb"  M1 = Int u^-3 n(c/u) dx            (I2)
+      "force"   K  = Int x u^-3 n(c/u) dx          (F_x)
+      "drag"    J1 = Int (x + beta) u^-3 n(c/u) dx = K + beta M1
+
+    With y = c/u they become integrals over [a, b] = [c/(1+beta),
+    c/(1-beta)]: J0 = (1/(beta c)) Int n dy, and K (s = 1) and J1
+    (s = gamma^2) are (1/(beta^2 s c^2)) Int (s c - y) n(y) dy, closed
+    forms in ln(1 - e^-y) and Li2(e^-y).  M1 = J0 - beta K exactly; since
+    M1 >= J0/2 the difference loses at most a factor 2.  The closed forms
+    lose about eps/beta^2, so below _CLOSED_FORM_BETA a Gauss-Legendre
+    rule in x takes over, pairing x with -x so that the odd part is
+    formed from differences that do not cancel.  Above it K and J1 still
+    cancel where c/(1-beta) <= 1; there _odd_series takes over.
     """
     if beta < _CLOSED_FORM_BETA:
         x, w = _gl_nodes(_X_NODES)
@@ -374,50 +390,64 @@ def _bath_kernel(c: np.ndarray, beta: float, drag: bool) -> np.ndarray:
         c = c[..., None]
         up, um = 1.0 + beta * x, 1.0 - beta * x
         n_up, n_um = _occupation(c / up), _occupation(c / um)
-        if not drag:
+        if kind == "heat":
             return (n_up / up**2 + n_um / um**2) @ w
+        even = n_up / up**3 + n_um / um**3
+        if kind == "absorb":
+            return even @ w
         # n(c/u+) - n(c/u-) through expm1(c/u+ - c/u-), and u+^-3 - u-^-3
         # through u-^3 - u+^3 = -2 beta x (u+^2 + u+ u- + u-^2).
         dn = np.expm1(-2.0 * beta * x * c / (up * um)) * n_up / np.expm1(-c / um)
         du = -2.0 * beta * x * (up * up + up * um + um * um) / (up * um) ** 3
-        odd = dn / up**3 + n_um * du
-        return (x * odd + beta * (n_up / up**3 + n_um / um**3)) @ w
+        odd = x * (dn / up**3 + n_um * du)
+        return (odd if kind == "force" else odd + beta * even) @ w
 
     g2 = 1.0 / ((1.0 - beta) * (1.0 + beta))
     a = c / (1.0 + beta)
-    if not drag:
+    if kind == "heat":
         # ln[(1 - e^-b)/(1 - e^-a)] with b - a = 2 beta gamma^2 c
         return np.log1p(np.exp(-a) * np.expm1(-2.0 * beta * g2 * c) / np.expm1(-a)) / (beta * c)
+    if kind == "absorb":
+        return _bath_kernel(c, beta, "heat") - beta * _bath_kernel(c, beta, "force")
+    s = g2 if kind == "drag" else 1.0
     b = c / (1.0 - beta)
     out = np.empty_like(c)
     small = b <= 1.0
-    out[small] = _drag_series(c[small], beta, g2)
+    out[small] = _odd_series(c[small], beta, g2, s)
     cl, a, b = c[~small], a[~small], b[~small]
-    # Int (y0 - y) n dy = [(y0 - y) ln(1 - e^-y) + Li2(e^-y)] from a to b
-    out[~small] = (-beta * g2 * cl * (_log1m_exp(a) + _log1m_exp(b))
-                   + _li2_exp(b) - _li2_exp(a))
-    return out / (beta * beta * g2 * c * c)
+    # Int (s c - y) n dy = [(s c - y) ln(1 - e^-y) + Li2(e^-y)] from a to b,
+    # where s c - b = -beta b and s c - a = beta a for K, and both are
+    # -/+ beta gamma^2 c for J1.
+    if kind == "drag":
+        lin = -beta * g2 * cl * (_log1m_exp(a) + _log1m_exp(b))
+    else:
+        lin = -beta * (a * _log1m_exp(a) + b * _log1m_exp(b))
+    out[~small] = lin + _li2_exp(b) - _li2_exp(a)
+    return out / (beta * beta * s * c * c)
 
 
 def _bath_integral(
-    drag: bool, beta: float, t2: float, model: PolarizabilityModel, spec: QuadratureSpec
+    kind: str, beta: float, t2: float, model: PolarizabilityModel, spec: QuadratureSpec
 ) -> Quantity:
-    """The bath term of Qdot, or the drag, as one integral over the rest-frame w'.
+    """One bath term as an integral over the rest-frame w' (module docstring).
 
-    (2/(pi gamma^4)) Int w'^4 a''(w') J0 dw' for the heating and
-    -(2/(pi gamma^2)) Int w'^4 a''(w') J1 dw' for the drag (module
-    docstring), with J = _bath_kernel(w'/(gamma T2)).
+    pref * Int w'^4 a''(w') J dw' with J = _bath_kernel(w'/(gamma T2), kind):
+    pref = 2/(pi gamma^4) for the heating ("heat") and I2 ("absorb"),
+    -2/(pi gamma^4) for the bath term of F_x ("force") and -2/(pi gamma^2)
+    for the drag.
     """
     g = lorentz_gamma(beta)
     scale = g * t2
 
     def integrand(om):
-        return om**4 * alpha_im(model, om) * _bath_kernel(om / scale, beta, drag)
+        return om**4 * alpha_im(model, om) * _bath_kernel(om / scale, beta, kind)
 
     # The least suppressed direction sees n(w'/(D T2)), D = sqrt((1+b)/(1-b)):
     # thermal scales run from T2/D to D T2, and the tail decays over D T2.
     blue = math.sqrt((1.0 + beta) / (1.0 - beta))
-    pref = -_PREF / g**2 if drag else _PREF / (g**2 * g**2)
+    pref = -_PREF / g**2 if kind == "drag" else _PREF / (g**2 * g**2)
+    if kind == "force":
+        pref = -pref
     return _integrate_thermal(integrand, pref, t2 / blue, t2 * blue, model, spec)
 
 
@@ -430,15 +460,24 @@ def force_lab(
     """Velocity-projected radiative force on the particle, lab frame.
 
     Negative values oppose the motion (+x direction).  Exactly zero at
-    beta = 0, where the integrand is odd in x.
+    beta = 0, where the integrand is odd in x.  Evaluated as the bath
+    term, one 1D integral of the odd kernel K over the rest-frame
+    frequency, minus beta P(T1) (module docstring).  K changes sign in
+    c, so its rounding is bounded against beta M1 instead of |K|:
+    _FORCE_ROUNDING * beta * I2 joins the error, with _ROUNDING * beta P
+    for the emitted term.
     """
     b, t1, t2 = state.beta, state.temperature, bath.temperature
     if b == 0.0:
         return _zero("integrand odd in x at beta = 0")
-    if t1 == 0.0 and t2 == 0.0:
-        return _zero("no photons at T1 = T2 = 0")
-    return _doppler_integral(lambda x, u: x * u * u, -_PREF * lorentz_gamma(b), b, t1, t2,
-                             model, spec)
+    bath_term = _bath_integral("force", b, t2, model, spec)
+    absorbed = _bath_integral("absorb", b, t2, model, spec)
+    power = _emitted_power(t1, model, spec)
+    diag = dict(bath_term.diagnostics)
+    diag["nodes"] += absorbed.diagnostics["nodes"] + power.diagnostics["nodes"]
+    rounding = b * (_FORCE_ROUNDING * absorbed.value + _ROUNDING * power.value)
+    return Quantity(bath_term.value - b * power.value,
+                    bath_term.error + b * power.error + rounding, diag)
 
 
 def heating_rate(
@@ -462,7 +501,7 @@ def heating_rate(
     def split(s: QuadratureSpec) -> tuple[Quantity, Quantity]:
         """(A, P(T1)/gamma^2)."""
         p = _emitted_power(t1, model, s)
-        return (_bath_integral(False, b, t2, model, s),
+        return (_bath_integral("heat", b, t2, model, s),
                 Quantity(p.value / g2, p.error / g2, p.diagnostics))
 
     absorbed, emitted = split(spec)
@@ -487,25 +526,17 @@ def intensity(
 ) -> tuple[Quantity, Quantity, Quantity]:
     """Net, emitted, and absorbed radiated power: (I, I1, I2) with I = I1 - I2.
 
-    I1 collects the particle-temperature (spontaneous) term, I2 the
-    bath term; both share the kernel (1+bx)^2 w^4 a''(w_b) and differ
-    only in which occupation weights it.  Positive I means the particle
+    I1 is the particle-temperature (spontaneous) term, which equals the
+    rest-frame emission P(T1) at any beta; I2 is the bath term, one 1D
+    integral of the kernel M1 over the rest-frame frequency (module
+    docstring).  The rounding bounds _ROUNDING * I1 and _ABSORB_ROUNDING
+    * I2 of their kernels join the errors.  Positive I means the particle
     loses energy to radiation.
     """
-    b, t1, t2 = state.beta, state.temperature, bath.temperature
-    pref = _PREF * lorentz_gamma(b)
-
-    if t1 == 0.0:
-        emitted = _zero("no spontaneous emission at T1 = 0")
-    else:
-        # The particle term alone is -n(w_b, T1): hence -pref.
-        emitted = _doppler_integral(lambda x, u: u * u, -pref, b, t1, 0.0, model, spec)
-
-    if t2 == 0.0:
-        absorbed = _zero("no bath photons at T2 = 0")
-    else:
-        absorbed = _doppler_integral(lambda x, u: u * u, pref, b, 0.0, t2, model, spec)
-
+    emitted = _emitted_power(state.temperature, model, spec)
+    emitted = replace(emitted, error=emitted.error + _ROUNDING * emitted.value)
+    absorbed = _bath_integral("absorb", state.beta, bath.temperature, model, spec)
+    absorbed = replace(absorbed, error=absorbed.error + _ABSORB_ROUNDING * absorbed.value)
     net = Quantity(
         emitted.value - absorbed.value,
         emitted.error + absorbed.error,
@@ -531,7 +562,7 @@ def drag_combination(
     """
     if state.beta == 0.0:
         return _zero("integrand odd in x at beta = 0")
-    q = _bath_integral(True, state.beta, bath.temperature, model, spec)
+    q = _bath_integral("drag", state.beta, bath.temperature, model, spec)
     return replace(q, error=q.error + _ROUNDING * abs(q.value))
 
 
@@ -543,45 +574,13 @@ def force_rest_frame(
 ) -> Quantity:
     """Friction force in the particle's instantaneous rest frame.
 
-    Direct form: the polarizability is sampled at the rest-frame
-    frequency w while the bath occupation carries the Doppler factor,
-    n(gamma*w*(1+beta*x), T2).  The thermal coth of this expression is
-    used zero-point subtracted (coth - 1 = 2n); the discarded constant
-    is even in x and integrates against x to zero, so the subtraction
-    is exact.  T1 never enters.  F'_x <= 0, with equality only for
-    beta = 0, T2 = 0, or a null model.
-    """
-    b, t2 = state.beta, bath.temperature
-    if b == 0.0:
-        return _zero("integrand odd in x at beta = 0")
-    if t2 == 0.0:
-        return _zero("no bath photons at T2 = 0")
-    g = lorentz_gamma(b)
-
-    def kern(om, x):
-        u = 1.0 + b * x
-        return x * om**4 * alpha_im(model, om) * bose_occupation(g * om * u, t2)
-
-    # The occupation argument is red-shifted down to w/D, D = sqrt((1+b)/(1-b)),
-    # at x = -1, so the tail decays over D T2.
-    decay = t2 * math.sqrt((1.0 + b) / (1.0 - b))
-    q = integrate_omega_x(kern, decay, spec, outer_seeds=breakpoints(model))
-    return Quantity(_PREF * q.value, _PREF * q.error, _diag(q, g, b))
-
-
-def force_rest_frame_alt(
-    state: ParticleState,
-    bath: BathSpec,
-    model: PolarizabilityModel,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> Quantity:
-    """Rest-frame friction force, transformed form.
-
-    The change of variables w' = gamma*w*(1+beta*x) maps the direct
-    rest-frame integral onto the bath-only drag combination, so this is
-    drag_combination itself: the 1D integral over w' with the closed-form
-    angular kernel J1.  Its agreement with the 2D force_rest_frame
-    cross-validates two genuinely different evaluations.
+    The direct form samples the polarizability at the rest-frame
+    frequency w and the bath occupation at n(gamma*w*(1+beta*x), T2);
+    the change of variables w' = gamma*w*(1+beta*x) maps it onto the
+    bath-only drag combination, so this is drag_combination: one 1D
+    integral over w'.  T1 never enters.  F'_x <= 0, with equality only
+    for beta = 0, T2 = 0, or a null model.  The direct form itself is
+    consistency.force_rest_frame_alt, the verification route.
     """
     return drag_combination(state, bath, model, spec)
 

@@ -416,8 +416,10 @@ def default_golden_path() -> Path:
 def mint_builtin(path: Path | str | None = None) -> list[dict]:
     """Mint every builtin case and write the golden file (JSON lines)."""
     path = Path(path) if path is not None else default_golden_path()
-    records = [mint_golden(case) for case in BUILTIN_CASES]
+    # A directory that cannot be made fails before the minting; the file is
+    # opened after it, so a failed gate leaves the old file whole.
     path.parent.mkdir(parents=True, exist_ok=True)
+    records = [mint_golden(case) for case in BUILTIN_CASES]
     with open(path, "w") as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -47,13 +47,11 @@ from bbdrag import (
     QuadratureSpec,
     TopHat,
     drag_combination,
-    energy_balance_residual,
     equilibrium_temperature,
     evolve,
     force_rest_frame,
     force_rest_frame_alt,
     force_rest_frame_nr,
-    frame_force_residual,
     inner_closed_forms,
     intensity,
     load_golden,
@@ -62,6 +60,7 @@ from bbdrag import (
     model_from_dict,
     oracle_value,
     spontaneous_term_cancellation,
+    verify_all,
 )
 from bbdrag.oracle import BUILTIN_CASES
 
@@ -95,8 +94,9 @@ def identity_grid():
                     state = ParticleState(beta=beta, mass=1.0, temperature=t1)
                     bath = BathSpec(temperature=t2)
                     tag = f"{model_label(model)} beta={beta} T1={t1} T2={t2}"
-                    energy.append((tag, energy_balance_residual(state, bath, model, SPEC)))
-                    frame.append((tag, frame_force_residual(state, bath, model, SPEC)))
+                    checks = {c.name: c for c in verify_all(state, bath, model, SPEC).checks}
+                    energy.append((tag, checks["energy-balance"]))
+                    frame.append((tag, checks["frame-force-relation"]))
     return energy, frame, time.perf_counter() - t0
 
 

@@ -1,10 +1,10 @@
-"""The names perfbench's tracer patches in bbdrag.cli and bbdrag.dynamics stay in place.
+"""The names perfbench's tracer patches in bbdrag.cli, .consistency and .dynamics stay in place.
 
 perfbench/tracing.py wraps bbdrag's functions from outside the package,
 under their module-level names; a refactor that renames or inlines one
 makes the benchmark's per-layer figures silently read zero.  This loads
-the tracer as it is and checks that every CLI path and the trajectory
-integration it measures still record their spans.
+the tracer as it is and checks that every CLI path, the identity suite
+and the trajectory integration it measures still record their spans.
 """
 
 from __future__ import annotations
@@ -15,14 +15,21 @@ import warnings
 from pathlib import Path
 
 import bbdrag.cli as cli
+import bbdrag.consistency as consistency
 import bbdrag.dynamics as dynamics
-from bbdrag import BathSpec, EvolveConfig, MaterialThermo, ParticleState, TopHat
+from bbdrag import (BathSpec, EvolveConfig, LorentzOscillator, MaterialThermo, ParticleState,
+                    TopHat)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 PATCHED = ("run", "verify_all", "equilibrium_temperature", "ThreadPoolExecutor",
            "_SWEEP_OBSERVABLES", "force_lab", "heating_rate", "intensity",
            "drag_combination", "force_rest_frame")
+
+CONSISTENCY_PATCHED = ("integrate_omega_x", "bose_occupation", "alpha_im", "integrate_1d",
+                       "force_lab", "heating_rate", "intensity", "drag_combination",
+                       "force_rest_frame", "force_rest_frame_alt", "verify_all",
+                       "spontaneous_term_cancellation")
 
 DYNAMICS_PATCHED = ("integrate_omega_x", "bose_occupation", "alpha_im", "drag_combination",
                     "heating_rate", "equilibrium_temperature", "evolve", "_net_intensity")
@@ -84,3 +91,30 @@ def test_tracer_records_the_trajectory_layers_and_uninstalls(monkeypatch):
     assert drags > 0 and drags == names.count("observables.heating_rate")
     assert names.count("dynamics.monitor") == len(traj.points)
     assert {name: getattr(dynamics, name) for name in DYNAMICS_PATCHED} == before
+
+
+def test_tracer_records_the_verification_route_and_uninstalls(monkeypatch):
+    before = {name: getattr(consistency, name) for name in CONSISTENCY_PATCHED}
+    tracer = _load_tracer(monkeypatch)
+    tracer.install()
+    try:
+        report = consistency.verify_all(ParticleState(0.6, 1.0, 1.7), BathSpec(0.9),
+                                        LorentzOscillator(1.0, 2.0, 0.5))
+        spans = list(tracer.spans)
+    finally:
+        tracer.uninstall()
+    assert report.passed
+    (verify,) = [sp for sp in spans if sp.name == "consistency.verify_all"]
+
+    def under_verify(sp):
+        while sp.parent is not None:
+            sp = sp.parent
+            if sp is verify:
+                return True
+        return False
+
+    names = [sp.name for sp in spans if under_verify(sp)]
+    assert "observables.force_rest_frame_alt" in names
+    assert "kernels.integrate_omega_x" in names
+    assert names.count("observables.drag_combination") == 1
+    assert {name: getattr(consistency, name) for name in CONSISTENCY_PATCHED} == before

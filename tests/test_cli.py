@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +572,19 @@ def test_unwritable_output_target_exits_1_without_a_traceback(tmp_path, command)
     assert "Traceback" not in proc.stderr
 
 
+def test_sweep_over_temperature_warns_for_the_hottest_grid_point(tmp_path, capsys):
+    """The point-dipole size check covers the swept temperatures, not only the base ones."""
+    args = ["sweep", "--observable", "heat", "--beta", "0.3", "--output", "-",
+            "--config", write_cfg(tmp_path, {"particle": {"radius": 0.5}})]
+    with pytest.warns(UserWarning, match="point-dipole"):
+        assert run([*args, "--t1", "1:2:2"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert run([*args, "--t1", "0.5:1:2"]) == 0
+        assert run([*args, "--t1=-1:2:2"]) == 1
+    assert "temperature must be finite and >= 0" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- mint-golden
 
 
@@ -583,3 +597,17 @@ def test_mint_golden_reproduces_stored_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("minted ") == len(out.read_text().strip().split("\n"))
     assert out.read_bytes() == default_golden_path().read_bytes()
+
+
+def test_mint_golden_into_an_uncreatable_directory_exits_1(tmp_path, monkeypatch, capsys):
+    """A parent path that is a regular file fails as an input error, before the minting."""
+    import bbdrag.oracle as oracle
+
+    cases = [c for c in oracle.BUILTIN_CASES if c["name"] == "emission-ohmic-closed-form"]
+    monkeypatch.setattr(oracle, "BUILTIN_CASES", tuple(cases))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["mint-golden", "--output", str(blocker / "cases.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "output.target" in err
+    assert "Traceback" not in err

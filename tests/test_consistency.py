@@ -12,8 +12,6 @@ from bbdrag import (
     ParticleState,
     QuadratureSpec,
     drag_combination,
-    energy_balance_residual,
-    frame_force_residual,
     heating_rate,
     force_lab,
     inner_closed_forms,
@@ -130,36 +128,33 @@ def test_identity_residuals_and_bath_independence_of_inner_forms():
 
 def test_energy_and_frame_checks_expose_their_pieces():
     state = ParticleState(beta=0.3, mass=1.0, temperature=0.5)
-    bath = BathSpec(2.0)
-    ce = energy_balance_residual(state, bath, REFERENCE_MODELS[1], SPEC)
-    cf = frame_force_residual(state, bath, REFERENCE_MODELS[1], SPEC)
-    for c in (ce, cf):
+    report = verify_all(state, BathSpec(2.0), REFERENCE_MODELS[1], SPEC)
+    checks = {c.name: c for c in report.checks}
+    for c in (checks["energy-balance"], checks["frame-force-relation"]):
         assert c.passed
         assert c.residual == abs(c.lhs - c.rhs)
         assert c.tolerance >= 10.0 * c.combined_error
 
 
 def test_intensity_split_catches_a_wrong_emitted_power(monkeypatch):
-    """The split compares net intensity with the 1D rest-frame power P(T1) - I2.
+    """The split compares the 2D net intensity with the 1D P(T1) - I2.
 
-    Scaling the 2D emitted power, and the net with it, by 1 + 1e-6 keeps
-    net = emitted - absorbed exact, yet must fail against P(T1).
+    Scaling the 2D net intensity by 1 + 1e-6 must fail against P(T1) - I2.
     """
     import bbdrag.consistency as consistency
     from bbdrag.observables import Quantity
 
-    original = consistency.intensity
+    original = consistency._net_intensity
 
     def skewed(*args, **kwargs):
-        net, emitted, absorbed = original(*args, **kwargs)
-        bumped = Quantity(emitted.value * (1.0 + 1e-6), emitted.error)
-        return Quantity(bumped.value - absorbed.value, net.error), bumped, absorbed
+        net = original(*args, **kwargs)
+        return Quantity(net.value * (1.0 + 1e-6), net.error)
 
     state = ParticleState(beta=0.6, mass=1.0, temperature=3.0)
     bath = BathSpec(1.0)
     honest = verify_all(state, bath, REFERENCE_MODELS[0], SPEC)
     assert next(c for c in honest.checks if c.name == "intensity-split").passed
-    monkeypatch.setattr(consistency, "intensity", skewed)
+    monkeypatch.setattr(consistency, "_net_intensity", skewed)
     report = verify_all(state, bath, REFERENCE_MODELS[0], SPEC)
     split = next(c for c in report.checks if c.name == "intensity-split")
     assert not split.passed

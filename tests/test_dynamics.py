@@ -30,7 +30,7 @@ from bbdrag import (
 )
 from bbdrag import dynamics
 from bbdrag.dynamics import _net_intensity
-from bbdrag.observables import _doppler_integral
+from bbdrag.observables import Quantity, _doppler_integral
 
 from conftest import REFERENCE_MODELS
 
@@ -341,7 +341,7 @@ def _scaled_intensity(monkeypatch):
 
     def scaled(*args):
         q = net(*args)
-        return dynamics.Quantity(q.value * (1.0 + 1e-4), q.error)
+        return Quantity(q.value * (1.0 + 1e-4), q.error)
 
     monkeypatch.setattr(dynamics, "_net_intensity", scaled)
 

@@ -23,7 +23,9 @@ from bbdrag import (
     heating_rate,
     intensity,
     lorentz_gamma,
+    spontaneous_term_cancellation,
 )
+from bbdrag.consistency import _lab_force_2d, _net_intensity
 
 from conftest import REFERENCE_MODELS, rel_diff
 
@@ -228,15 +230,15 @@ def test_cutoff_insensitivity():
 
 
 def test_2d_error_covers_the_truncation_at_the_cutoff():
-    """Doubling u_max moves the 2D intensity by less than its own error.
+    """Doubling u_max moves the 2D net intensity by less than its own error.
 
     Without the tail bound the move was 4.8x the error for this point,
     where the error estimate is small and the slow Ohmic tail is cut.
     """
     state = ParticleState(beta=1e-3, mass=1.0, temperature=0.15)
     bath, model = BathSpec(0.3), Ohmic(slope=1.0, omega_c=5.0)
-    cut = intensity(state, bath, model, SPEC)[0]
-    wide = intensity(state, bath, model, QuadratureSpec(u_max=80.0))[0]
+    cut = _net_intensity(state, bath, model, SPEC)
+    wide = _net_intensity(state, bath, model, QuadratureSpec(u_max=80.0))
     assert abs(cut.value - wide.value) <= cut.error
 
 
@@ -256,35 +258,41 @@ def test_low_speed_rest_force_error_covers_the_truncation_at_the_cutoff():
 def test_diagnostics_present():
     state = ParticleState(beta=0.4, mass=1.0, temperature=1.0)
     q = force_lab(state, BathSpec(1.0), REFERENCE_MODELS[0], SPEC)
-    for key in ("neval", "panels", "omega_max", "omega_beta_max"):
+    for key in ("neval", "nodes", "panels", "omega_max", "omega_beta_max"):
         assert key in q.diagnostics
+    assert q.diagnostics["neval"] == 0 and q.diagnostics["nodes"] > 0
+    q2 = _lab_force_2d(state, BathSpec(1.0), REFERENCE_MODELS[0], SPEC)
+    for key in ("neval", "panels", "omega_max", "omega_beta_max"):
+        assert key in q2.diagnostics
     g = lorentz_gamma(0.4)
-    assert q.diagnostics["omega_beta_max"] == pytest.approx(
-        g * 1.4 * q.diagnostics["omega_max"], rel=1e-12
+    assert q2.diagnostics["omega_beta_max"] == pytest.approx(
+        g * 1.4 * q2.diagnostics["omega_max"], rel=1e-12
     )
 
 
 def test_2d_cutoffs_are_u_max_decay_lengths_of_each_callers_thermal_scale():
-    """omega_max = u_max * max(T2, D T1) on the lab-frame route, u_max * D T2
-    for the rest force, D = sqrt((1+b)/(1-b)): the least suppressed
-    occupation decays over that length at every x."""
+    """omega_max = u_max * max(T2, D T1) on the lab-frame route, u_max * D T1
+    for the spontaneous force term and u_max * D T2 for the direct rest
+    force, D = sqrt((1+b)/(1-b)): the least suppressed occupation decays
+    over that length at every x."""
     t1, t2, u = 2.0, 3.0, SPEC.u_max
     model, bath = TopHat(1.0, 0.5, 1.5), BathSpec(t2)
 
     def cutoffs(beta):
         state = ParticleState(beta, 1.0, t1)
-        _, emitted, absorbed = intensity(state, bath, model, SPEC)
-        return (force_lab(state, bath, model, SPEC).diagnostics.get("omega_max"),
-                emitted.diagnostics["omega_max"], absorbed.diagnostics["omega_max"],
-                force_rest_frame(state, bath, model, SPEC).diagnostics.get("omega_max"))
+        spont = spontaneous_term_cancellation(state, bath, model, SPEC)
+        return (_lab_force_2d(state, bath, model, SPEC).diagnostics.get("omega_max"),
+                spont.force_term.diagnostics.get("omega_max"),
+                _net_intensity(state, bath, model, SPEC).diagnostics["omega_max"],
+                force_rest_frame_alt(state, bath, model, SPEC).diagnostics.get("omega_max"))
 
     d = math.sqrt((1.0 + 0.8) / (1.0 - 0.8))
-    expected = (u * max(t2, t1 * d), u * (t1 * d), u * t2, u * (t2 * d))
+    expected = (u * max(t2, t1 * d), u * (t1 * d), u * max(t2, t1 * d), u * (t2 * d))
     assert cutoffs(0.8) == expected
-    assert expected == pytest.approx((240.0, 240.0, 120.0, 360.0), rel=1e-15)
+    assert expected == pytest.approx((240.0, 240.0, 240.0, 360.0), rel=1e-15)
     # at rest the forces short-circuit and carry no cutoff
-    assert cutoffs(0.0) == (None, u * t1, u * t2, None)
-    assert u * t1 == 80.0 and u * t2 == 120.0
+    assert cutoffs(0.0) == (None, None, u * max(t2, t1), None)
+    assert u * max(t2, t1) == 120.0
 
 
 def test_rest_force_linear_in_beta_at_small_beta():
