@@ -212,7 +212,7 @@ def _dataclass_kwargs(raw, section, cls) -> dict:
     """
     d = _require_mapping(raw.get(section, {}), section)
     hints = typing.get_type_hints(cls)
-    types = {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+    types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
     _reject_unknown(d, types, section)
     kwargs = {}
     for key, value in d.items():

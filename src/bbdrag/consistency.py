@@ -34,8 +34,10 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .kernels import QuadratureSpec, bose_occupation, integrate_1d, integrate_omega_x, lorentz_gamma
+from .kernels import (QuadratureSpec, _check_beta, bose_occupation, integrate_1d,
+                      integrate_omega_x, lorentz_gamma)
 from .observables import (
+    _PREF,
     DEFAULT_QUADRATURE,
     BathSpec,
     ParticleState,
@@ -53,8 +55,6 @@ from .observables import force_rest_frame  # noqa: F401 -- perfbench's tracer pa
 from .polarizability import PolarizabilityModel, alpha_im, breakpoints
 
 ABS_FLOOR = 1e-12
-
-_PREF = 2.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,7 @@ def inner_closed_forms(
     Closed forms: -2*beta*gamma^4 and 2*gamma^2.  These are the inner
     integrals that collapse the spontaneous terms onto one 1D integral.
     """
-    g = lorentz_gamma(beta)  # validates beta and fails fast on bad input
-    del g
+    _check_beta(beta)
     qa = integrate_1d(lambda x: x * (1.0 + beta * x) ** -3.0, -1.0, 1.0, spec)
     qb = integrate_1d(lambda x: (1.0 + beta * x) ** -2.0, -1.0, 1.0, spec)
     return qa.value, qb.value

@@ -52,8 +52,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .consistency import _net_intensity
-from .kernels import BETA_MAX, QuadratureSpec, lorentz_gamma
+from .consistency import ABS_FLOOR, _net_intensity
+from .kernels import BETA_MAX, QuadratureSpec, _check_beta, lorentz_gamma
 from .kernels import bose_occupation  # noqa: F401 -- perfbench's tracer patches it by name
 from .kernels import integrate_omega_x  # noqa: F401 -- perfbench's tracer patches it by name
 from .observables import (
@@ -73,8 +73,6 @@ _CORRECTION_CUT = 1e-12
 # C_s*T1 above this deserves a warning: the thermal model neglects
 # higher-order rest-mass feedback of the same size.
 _CORRECTION_WARN = 1e-6
-
-_MONITOR_FLOOR = 1e-12
 
 # A run ends "steady" once beta is below _STEADY_BETA (kinematically at
 # rest) and T1 is within _STEADY_TEMPERATURE_TOL of T2, relative.
@@ -273,8 +271,7 @@ def equilibrium_temperature(
     direction, so Qdot has opposite strict signs at the ends for any
     nonzero passive model.
     """
-    g = lorentz_gamma(beta)  # validates beta
-    del g
+    _check_beta(beta)
     t2 = bath.temperature
     if t2 <= 0.0:
         raise ValueError("equilibrium temperature needs a bath with T2 > 0")
@@ -314,42 +311,34 @@ def evolve(
         raise ValueError("quasi-static-T1 mode needs T2 > 0 to define T1*(beta)")
 
     names = _VARIABLES[mode]
-    cache: dict[bytes, tuple[float, float]] = {}
+    last: dict[bytes, tuple] = {}  # RK45 revisits only the last state it evaluated
 
-    def state_of(y: np.ndarray) -> ParticleState:
-        v = dict(zip(names, y.tolist()))
-        b = min(max(v.get("beta", state0.beta), 0.0), BETA_MAX)
-        m = v["mass"]
-        if "temperature" in v:
-            t1 = v["temperature"]
-        else:
-            t1 = equilibrium_temperature(b, bath, model, spec)
-        if not m > 0.0:
-            raise DynamicsError(
-                f"mass became non-positive (m = {m:.6g}); the model has been "
-                "integrated far outside its regime"
-            )
-        return ParticleState(b, m, max(t1, 0.0))
-
-    def rates(y: np.ndarray) -> tuple[float, float]:
-        """(F', Qdot) at the state of y, cached on its physical variables."""
+    def record(y: np.ndarray) -> tuple[ParticleState, float, float, float, float]:
+        """(state, F', Qdot, F_x, I) at the physical variables of y."""
         key = y[:-1].tobytes()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        st = state_of(y)
-        fp = drag_combination(st, bath, model, spec).value
-        qd = heating_rate(st, bath, model, spec).value
-        if len(cache) >= 32:
-            cache.clear()
-        cache[key] = (fp, qd)
-        return fp, qd
+        if key not in last:
+            v = dict(zip(names, y.tolist()))
+            b = min(max(v.get("beta", state0.beta), 0.0), BETA_MAX)
+            m = v["mass"]
+            if "temperature" in v:
+                t1 = v["temperature"]
+            else:
+                t1 = equilibrium_temperature(b, bath, model, spec)
+            if not m > 0.0:
+                raise DynamicsError(
+                    f"mass became non-positive (m = {m:.6g}); the model has been "
+                    "integrated far outside its regime"
+                )
+            st = ParticleState(b, m, max(t1, 0.0))
+            fp = drag_combination(st, bath, model, spec).value
+            qd = heating_rate(st, bath, model, spec).value
+            last.clear()
+            last[key] = (st, fp, qd, *_lab_force_and_intensity(b, fp, qd))
+        return last[key]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        fp, qd = rates(y)
-        st = state_of(y)
+        st, fp, qd, _, power = record(y)
         dbeta, dmass, dtemp = _equations_of_motion(st, fp, qd, thermo)
-        _, power = _lab_force_and_intensity(st.beta, fp, qd)
         rate = {"beta": dbeta, "mass": dmass, "temperature": dtemp, "radiated": power}
         return np.array([rate[n] for n in names])
 
@@ -358,16 +347,14 @@ def evolve(
 
         Raises MonitorViolation when the gap exceeds its quadrature budget.
         """
-        st = state_of(y)
-        fp, qd = rates(y)
-        f_lab, power = _lab_force_and_intensity(st.beta, fp, qd)
+        st, _, qd, f_lab, power = record(y)
         net = _net_intensity(st, bath, model, spec)
         gap = net.value - power
-        # Reconstruction uses the cached drag/Qdot values; their error
+        # Reconstruction uses the record's drag/Qdot values; their error
         # budget is the quadrature spec's own tolerance.
         scale = max(abs(net.value), abs(qd), abs(st.beta * f_lab))
         budget = math.sqrt(net.error**2 + 2.0 * (spec.rel_tol * scale) ** 2)
-        tol = max(10.0 * budget, _MONITOR_FLOOR)
+        tol = max(10.0 * budget, ABS_FLOOR)
         if cfg.monitor and abs(gap) > tol:
             raise MonitorViolation(
                 f"energy balance violated at t = {t:.6g}: residual "
@@ -382,6 +369,9 @@ def evolve(
     start = {"beta": state0.beta, "mass": state0.mass,
              "temperature": state0.temperature, "radiated": 0.0}
     y0 = np.array([start[n] for n in names])
+    # Before the solver, so that its own first evaluation at y0 is a record hit.
+    point, gap = make_point(0.0, y0)
+    points, gaps = [point], [gap]
     # E stays out of the error norm (atol = inf).  scipy's norm is an RMS
     # over all components, so the others' tolerances shrink by
     # sqrt(n/(n+1)) to keep the step sequence of the physical variables.
@@ -398,9 +388,6 @@ def evolve(
         max_step=cfg.max_step,
         first_step=cfg.initial_step,
     )
-
-    point, gap = make_point(0.0, y0)
-    points, gaps = [point], [gap]
     termination = "t_end"
     while solver.status == "running":
         message = solver.step()

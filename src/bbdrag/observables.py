@@ -96,16 +96,24 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 # Speeds below this take the angular integrals of the bath kernels by a
 # fixed Gauss-Legendre rule in x, from it up in closed form.  Against
-# mpmath at 80 digits over c in [1e-5, 60], the rule with _X_NODES
-# nodes stays within 3.4e-15 relative up to beta = 0.5 (1.5e-13 at 0.6,
-# 1.4e-5 at 0.9), and the closed forms within 3.2e-15 from 0.5 up
-# (2e-14 at 0.3-0.4, where their differences cancel).
+# mpmath over c in [1e-5, 60], the rule with _X_NODES nodes stays within
+# 7.6e-15 relative for J0 and 7.0e-15 for J1 up to beta = 0.5 (1.5e-13
+# at 0.6, 1.4e-5 at 0.9); those peak at the largest c, where the
+# exponential amplifies the rounding of c/u.  The closed forms stay
+# within 3.7e-15 for J0 and 1.5e-14 for J1 from 0.5 up; J1 peaks near
+# c = 1 just above 0.5, where its terms cancel (further down they
+# cancel more: 2e-14 at 0.3-0.4).
 _CLOSED_FORM_BETA = 0.5
 _X_NODES = 16
 
-# Rounding bound of the 1D bath integrals, relative to the gross size of
-# their terms: the kernels above (<= 3.4e-15 each) and the P(T1)
-# subtraction in the heating rate.
+# Rounding bounds of the kernels J0 (Qdot) and J1 (the drag), twice the
+# largest errors above (tests/test_bath_integrals.py), relative to the
+# gross size of the terms of Qdot (covering the P(T1) subtraction too)
+# and to the drag.
+_HEAT_ROUNDING = 1.6e-14
+_DRAG_ROUNDING = 3.0e-14
+# Rounding bound of the emission P(T1), and the floor of the heating
+# rate's refinement target relative to the gross size of its terms.
 _ROUNDING = 4.0e-15
 # Rounding bounds of the kernels M1 (I2) and K (F_x), twice the largest
 # error against 60-digit mpmath over c in [1e-5, 60] and beta from 1e-8
@@ -492,8 +500,8 @@ def heating_rate(
     (beta = 0, T1 = T2).  Evaluated on the exact split Qdot = A - P(T1)/gamma^2
     as two 1D integrals over the rest-frame frequency (module docstring).
     Where the two terms cancel, both are refined until their errors meet
-    the tolerance of the net value; a rounding bound _ROUNDING * (A + P/gamma^2)
-    joins the error.
+    the tolerance of the net value; a rounding bound _HEAT_ROUNDING * (A +
+    P/gamma^2) joins the error.
     """
     b, t1, t2 = state.beta, state.temperature, bath.temperature
     g2 = lorentz_gamma(b) ** 2
@@ -513,9 +521,8 @@ def heating_rate(
         gross = absorbed.value + emitted.value
     diag = dict(absorbed.diagnostics)
     diag["nodes"] += emitted.diagnostics["nodes"]
-    return Quantity(
-        absorbed.value - emitted.value, absorbed.error + emitted.error + _ROUNDING * gross, diag
-    )
+    return Quantity(absorbed.value - emitted.value,
+                    absorbed.error + emitted.error + _HEAT_ROUNDING * gross, diag)
 
 
 def intensity(
@@ -563,7 +570,7 @@ def drag_combination(
     if state.beta == 0.0:
         return _zero("integrand odd in x at beta = 0")
     q = _bath_integral("drag", state.beta, bath.temperature, model, spec)
-    return replace(q, error=q.error + _ROUNDING * abs(q.value))
+    return replace(q, error=q.error + _DRAG_ROUNDING * abs(q.value))
 
 
 def force_rest_frame(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -188,13 +188,6 @@ _MODEL_TAGS = {
     "ohmic": Ohmic,
 }
 
-_MODEL_FIELDS = {
-    LorentzOscillator: ("alpha0", "omega0", "gamma"),
-    DrudeSphere: ("radius", "omega_p", "nu"),
-    TopHat: ("amplitude", "omega1", "omega2"),
-    Ohmic: ("slope", "omega_c"),
-}
-
 
 def model_from_dict(data: dict) -> PolarizabilityModel:
     """Build a model from a tagged dict, e.g. {"type": "lorentz", "alpha0": ...}."""
@@ -204,27 +197,19 @@ def model_from_dict(data: dict) -> PolarizabilityModel:
     if not isinstance(tag, str) or tag not in _MODEL_TAGS:
         raise ValueError(f"model.type must be one of {sorted(_MODEL_TAGS)}, got {tag!r}")
     cls = _MODEL_TAGS[tag]
-    fields = _MODEL_FIELDS[cls]
-    extra = set(data) - {"type", *fields}
+    defaults = {f.name: f.default for f in fields(cls)}
+    extra = set(data) - {"type", *defaults}
     if extra:
         raise ValueError(f"unexpected model fields for {tag!r}: {sorted(extra)}")
-    kwargs = {}
-    for name in fields:
-        if name in data:
-            kwargs[name] = data[name]
-        elif cls is Ohmic and name == "omega_c":
-            kwargs[name] = None
-        else:
+    for name, default in defaults.items():
+        if name not in data and default is MISSING:
             raise ValueError(f"model {tag!r} requires field {name!r}")
-    return cls(**kwargs)
+    return cls(**{k: v for k, v in data.items() if k != "type"})
 
 
 def model_to_dict(model: PolarizabilityModel) -> dict:
     """Inverse of model_from_dict; tagged plain dict for JSON serialization."""
     for tag, cls in _MODEL_TAGS.items():
         if isinstance(model, cls):
-            out = {"type": tag}
-            for name in _MODEL_FIELDS[cls]:
-                out[name] = getattr(model, name)
-            return out
+            return {"type": tag, **asdict(model)}
     raise TypeError(f"unknown polarizability model {type(model).__name__}")

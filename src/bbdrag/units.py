@@ -29,7 +29,7 @@ kind: the dimensionless beta = v/c is the native variable, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # CODATA 2018 exact values (SI definitional constants).
 HBAR = 1.054571817e-34      # J s
@@ -60,7 +60,6 @@ class UnitSystem:
     """
 
     reference_temperature: float = DEFAULT_REFERENCE_TEMPERATURE
-    omega_ref: float = field(init=False)
 
     def __post_init__(self):
         t = self.reference_temperature
@@ -68,7 +67,11 @@ class UnitSystem:
             raise ValueError(
                 f"reference_temperature must be finite and positive, got {t!r}"
             )
-        object.__setattr__(self, "omega_ref", K_BOLTZMANN * t / HBAR)
+
+    @property
+    def omega_ref(self) -> float:
+        """Reference angular frequency k_B * T_ref / hbar in rad/s."""
+        return K_BOLTZMANN * self.reference_temperature / HBAR
 
     def _si_per_internal(self, kind: str) -> float:
         """SI value of one internal unit of `kind`."""

@@ -385,7 +385,11 @@ def test_criterion_10_timescale_separation():
 
 
 def test_criterion_11_cli_determinism_across_threads(tmp_path):
-    """verify/evolve outputs are byte-identical for any thread count."""
+    """verify, evolve and a 40-point sweep are byte-identical at 1 and 2 BLAS threads.
+
+    numpy's BLAS reads OPENBLAS_NUM_THREADS / OMP_NUM_THREADS when it
+    loads, so each run is a fresh subprocess.
+    """
     config = {
         "particle": {"beta": 0.4, "mass": 50.0, "temperature": 1.5, "specific_heat": 0.01},
         "bath": {"temperature": 1.0},
@@ -394,10 +398,15 @@ def test_criterion_11_cli_determinism_across_threads(tmp_path):
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))
+    commands = {
+        "verify": ["verify"],
+        "evolve": ["evolve"],
+        "sweep": ["sweep", "--observable", "restframe-force", "--beta", "0:0.9:40"],
+    }
 
     def run_cli(args, threads, hash_seed):
         env = dict(os.environ)
-        env["BBDRAG_THREADS"] = str(threads)
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
         env["PYTHONHASHSEED"] = str(hash_seed)
         proc = subprocess.run(
             [sys.executable, "-m", "bbdrag.cli", *args],
@@ -409,11 +418,12 @@ def test_criterion_11_cli_determinism_across_threads(tmp_path):
         return proc
 
     outputs = {}
-    for label, threads, seed in (("a", 1, 0), ("b", 4, 12345)):
-        for sub in ("verify", "evolve"):
+    for label, threads, seed in (("a", 1, 0), ("b", 2, 12345)):
+        for sub, args in commands.items():
             out = tmp_path / f"{sub}-{label}.out"
-            run_cli([sub, "--config", str(cfg_path), "--output", str(out)], threads, seed)
+            run_cli([*args, "--config", str(cfg_path), "--output", str(out)], threads, seed)
             outputs.setdefault(sub, []).append(out.read_bytes())
     for sub, blobs in outputs.items():
         assert blobs[0] == blobs[1], f"{sub} output differs across thread counts"
     assert b"t,beta,m,T1,F_x,Qdot,I,balance_residual" in outputs["evolve"][0]
+    assert outputs["sweep"][0].count(b"\n") == 41  # header and 40 points

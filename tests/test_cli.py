@@ -164,6 +164,13 @@ def test_removed_balance_substeps_field_exits_1(tmp_path, capsys, field):
     assert f"evolve.{field}: unknown field" in capsys.readouterr().err
 
 
+def test_derived_omega_ref_is_not_a_units_field(tmp_path, capsys):
+    """omega_ref follows from reference_temperature and cannot be set."""
+    path = write_cfg(tmp_path, {"units": {"omega_ref": 1.0}})
+    assert run(["force", "--config", path]) == 1
+    assert "units.omega_ref: unknown field" in capsys.readouterr().err
+
+
 def test_config_flag_missing_file_exits_1(tmp_path, capsys):
     assert run(["force", "--config", str(tmp_path / "absent.json")]) == 1
     assert "config file" in capsys.readouterr().err
@@ -540,20 +547,6 @@ def test_sweep_rows_equal_the_one_shot_values_in_grid_order(tmp_path, observable
             value, error = q.value, q.error
         expected.append(f"{float(beta):.12g},{value:.12g},{error:.12g}")
     assert out.read_text().splitlines() == expected
-
-
-def test_sweep_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
-    path = write_cfg(tmp_path, TOPHAT_CFG)
-    blobs = []
-    for threads in ("1", "6"):
-        monkeypatch.setenv("BBDRAG_THREADS", threads)
-        out = tmp_path / f"s{threads}.csv"
-        assert run(
-            ["sweep", "--observable", "restframe-force", "--beta", "0:0.9:8",
-             "--config", path, "--output", str(out)]
-        ) == 0
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
 
 
 @pytest.mark.parametrize("command", [

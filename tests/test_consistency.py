@@ -183,3 +183,19 @@ def test_verify_passes_at_the_smallest_subnormal_particle_temperature():
     for model in REFERENCE_MODELS:
         assert spontaneous_term_cancellation(state, bath, model, SPEC).emitted_power.value == 0.0
         assert verify_all(state, bath, model, SPEC).passed
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: type(m).__name__)
+def test_256_inner_nodes_carry_the_2d_route_up_to_beta_0_99(model):
+    """The documented stopgap for the 2D route's fixed inner x-rule.
+
+    At the default 64 nodes the 2D quadratures miss from beta ~ 0.97 up
+    (27 of these 48 points fail); 256 nodes pass all of them.
+    """
+    spec = QuadratureSpec(inner_nodes=256)
+    failed = []
+    for beta in (0.96, 0.97, 0.98, 0.99):
+        for t1, t2 in ((0.5, 1.0), (2.0, 1.0), (1.0, 0.3)):
+            report = verify_all(ParticleState(beta, 1.0, t1), BathSpec(t2), model, spec)
+            failed += [(beta, t1, t2, c.name) for c in report.checks if not c.passed]
+    assert failed == []

@@ -280,6 +280,31 @@ def test_quasi_static_mode_pins_temperature_to_equilibrium():
     assert np.all(np.diff(betas) < 0.0)
 
 
+def test_quasi_static_mode_solves_the_equilibrium_once_per_state(monkeypatch):
+    """Each state RK45 evaluates costs one T1* solve and one drag, no more.
+
+    The solver re-evaluates its last state (the accepted point and, at the
+    start, y0); those evaluations must reuse the state's record.
+    """
+    solves, drags = [], []
+
+    def counted_solve(beta, *args):
+        solves.append(beta)
+        return equilibrium_temperature(beta, *args)
+
+    def counted_drag(state, *args, _drag=dynamics.drag_combination):
+        drags.append(state.beta)
+        return _drag(state, *args)
+
+    monkeypatch.setattr(dynamics, "equilibrium_temperature", counted_solve)
+    monkeypatch.setattr(dynamics, "drag_combination", counted_drag)
+    cfg = EvolveConfig(t_end=1.0, mode="quasi-static-T1")
+    traj = quiet_evolve(HOT_START, BATH, BAND, THERMO, cfg, SPEC)
+    assert len(traj.points) >= 3
+    assert solves == drags
+    assert len(set(solves)) == len(solves)
+
+
 def test_beta_stop_terminates_early():
     state = ParticleState(beta=0.5, mass=10.0, temperature=2.0)
     cfg = EvolveConfig(t_end=1e6, mode="quasi-static-T1", beta_stop=0.45)

@@ -139,15 +139,30 @@ def test_dict_round_trip():
         assert model_from_dict(model_to_dict(m)) == m
 
 
+def test_model_dicts_list_every_field_in_order():
+    assert model_to_dict(REFERENCE_MODELS[0]) == {
+        "type": "lorentz", "alpha0": 1.0, "omega0": 2.0, "gamma": 0.5}
+    assert list(model_to_dict(REFERENCE_MODELS[2])) == ["type", "amplitude", "omega1", "omega2"]
+    assert model_to_dict(Ohmic(2.0)) == {"type": "ohmic", "slope": 2.0, "omega_c": None}
+    assert model_from_dict({"type": "ohmic", "slope": 2.0}) == Ohmic(2.0, None)
+
+
 def test_model_from_dict_errors():
     with pytest.raises(ValueError, match="type"):
         model_from_dict({"slope": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as e:
         model_from_dict({"type": "unknown-model"})
-    with pytest.raises(ValueError):
-        model_from_dict({"type": "ohmic", "slope": 1.0, "extra": 2.0})
-    with pytest.raises(ValueError):
-        model_from_dict({"type": "lorentz", "alpha0": 1.0})  # missing fields
+    assert str(e.value) == ("model.type must be one of ['drude', 'lorentz', 'ohmic', 'tophat'], "
+                            "got 'unknown-model'")
+    with pytest.raises(ValueError) as e:
+        model_from_dict({"type": "ohmic", "slope": 1.0, "extra": 2.0, "alpha0": 1.0})
+    assert str(e.value) == "unexpected model fields for 'ohmic': ['alpha0', 'extra']"
+    with pytest.raises(ValueError) as e:
+        model_from_dict({"type": "lorentz", "alpha0": 1.0, "gamma": 0.5})
+    assert str(e.value) == "model 'lorentz' requires field 'omega0'"
+    with pytest.raises(ValueError) as e:
+        model_from_dict({"type": "ohmic", "omega_c": 1.0})
+    assert str(e.value) == "model 'ohmic' requires field 'slope'"
 
 
 # ------------------------------------------------------- point-dipole guard
