@@ -549,6 +549,29 @@ def test_sweep_rows_equal_the_one_shot_values_in_grid_order(tmp_path, observable
     assert out.read_text().splitlines() == expected
 
 
+def test_sweep_thread_env_does_not_change_bytes(tmp_path):
+    """A 40-point sweep is byte-identical at 1 and 2 BLAS threads.
+
+    numpy's BLAS reads OPENBLAS_NUM_THREADS / OMP_NUM_THREADS when it
+    loads, so each run is a fresh subprocess.
+    """
+    path = write_cfg(tmp_path, TOPHAT_CFG)
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"s{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bbdrag.cli", "sweep", "--observable", "restframe-force",
+             "--beta", "0:0.9:40", "--config", path, "--output", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC,
+                 "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert blobs[0].count(b"\n") == 41  # header and 40 points
+
+
 @pytest.mark.parametrize("command", [
     ["force", "--beta", "0.5", "--format", "json"],
     ["sweep", "--observable", "heat", "--beta", "0:0.5:2"],
