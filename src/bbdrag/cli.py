@@ -77,18 +77,20 @@ class _Parser(argparse.ArgumentParser):
 
 _DEFAULT_MODEL = {"type": "ohmic", "slope": 1.0, "omega_c": 5.0}
 
-EVOLVE_COLUMNS = ("t", "beta", "m", "T1", "F_x", "Qdot", "I", "balance_residual")
-
-# SI conversion kind for each evolve column / verify check (beta has none).
-_EVOLVE_KINDS = {
-    "t": "time",
-    "m": "mass",
-    "T1": "temperature",
-    "F_x": "force",
-    "Qdot": "power",
-    "I": "power",
-    "balance_residual": "power",
+# Each evolve output column: its TrajectoryPoint field and SI conversion kind (beta has none).
+_EVOLVE_TABLE = {
+    "t": ("t", "time"),
+    "beta": ("beta", None),
+    "m": ("mass", "mass"),
+    "T1": ("temperature", "temperature"),
+    "F_x": ("force_lab", "force"),
+    "Qdot": ("heating_rate", "power"),
+    "I": ("intensity", "power"),
+    "balance_residual": ("balance_residual", "power"),
 }
+EVOLVE_COLUMNS = tuple(_EVOLVE_TABLE)
+
+# SI conversion kind for each verify check.
 _CHECK_KINDS = {
     "energy-balance": "power",
     "intensity-split": "power",
@@ -391,14 +393,7 @@ def _trajectory_rows(traj: Trajectory, stride: int) -> list[dict]:
     pts = list(traj.points[::stride])
     if traj.points and traj.points[-1] is not pts[-1]:
         pts.append(traj.points[-1])  # keep the terminal state visible
-    return [
-        {
-            "t": p.t, "beta": p.beta, "m": p.mass, "T1": p.temperature,
-            "F_x": p.force_lab, "Qdot": p.heating_rate, "I": p.intensity,
-            "balance_residual": p.balance_residual,
-        }
-        for p in pts
-    ]
+    return [{c: getattr(p, field) for c, (field, _) in _EVOLVE_TABLE.items()} for p in pts]
 
 
 def _cmd_evolve(cfg: RunConfig) -> int:
@@ -409,10 +404,8 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     else:
         us = cfg.units
         rows_si = [
-            {
-                c: (row[c] if c == "beta" else us.from_internal(row[c], _EVOLVE_KINDS[c]))
-                for c in EVOLVE_COLUMNS
-            }
+            {c: row[c] if kind is None else us.from_internal(row[c], kind)
+             for c, (_, kind) in _EVOLVE_TABLE.items()}
             for row in rows
         ]
         extra = {
@@ -425,7 +418,7 @@ def _cmd_evolve(cfg: RunConfig) -> int:
             "bookkeeping_residual": (None if math.isnan(traj.bookkeeping_residual)
                                      else traj.bookkeeping_residual),
             "rows_si": rows_si,
-            "si_units": {c: _SI_UNIT.get(_EVOLVE_KINDS.get(c, ""), "") for c in EVOLVE_COLUMNS},
+            "si_units": {c: _SI_UNIT.get(kind, "") for c, (_, kind) in _EVOLVE_TABLE.items()},
             "inputs": _inputs_report(cfg),
         }
         write_output(rows, EVOLVE_COLUMNS, "json", cfg.out_target, json_extra=extra)

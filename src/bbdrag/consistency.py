@@ -98,6 +98,13 @@ def _sign_check(name: str, quantity: Quantity) -> IdentityCheck:
     return IdentityCheck(name, quantity.value, 0.0, excess, quantity.error, tol, excess <= tol)
 
 
+def _energy_balance(b: float, net: Quantity, f: Quantity, q: Quantity) -> IdentityCheck:
+    """The net intensity against -(Qdot + beta * F_x), for verify_all and the trajectory monitor."""
+    return _residual_check(
+        "energy-balance", net.value, -(q.value + b * f.value), net.error, q.error, b * f.error
+    )
+
+
 def _frame_force(name: str, b: float, lhs: Quantity, f: Quantity, q: Quantity) -> IdentityCheck:
     """lhs against the composition F_x - gamma^2 * beta * Qdot."""
     g = lorentz_gamma(b)
@@ -276,9 +283,7 @@ def verify_all(
     spont = spontaneous_term_cancellation(state, bath, model, spec)
 
     checks = (
-        _residual_check(
-            "energy-balance", net.value, -(q.value + b * f.value), net.error, q.error, b * f.error
-        ),
+        _energy_balance(b, net, f, q),
         _frame_force("frame-force-relation", b, fp, f, q),
         spont.cancellation,
         spont.reduction,

@@ -16,6 +16,7 @@ from bbdrag import (
     EvolveConfig,
     LorentzOscillator,
     MaterialThermo,
+    MonitorViolation,
     Ohmic,
     ParticleState,
     QuadratureSpec,
@@ -27,6 +28,7 @@ from bbdrag import (
     heating_rate,
     intensity,
     lorentz_gamma,
+    verify_all,
 )
 from bbdrag import dynamics
 from bbdrag.dynamics import _net_intensity
@@ -361,12 +363,12 @@ def test_quasi_static_bookkeeping_at_default_tolerances():
     assert bookkeeping_rel(traj) <= 1e-6
 
 
-def _scaled_intensity(monkeypatch):
+def _scaled_intensity(monkeypatch, rel=1e-4):
     net = dynamics._net_intensity
 
     def scaled(*args):
         q = net(*args)
-        return Quantity(q.value * (1.0 + 1e-4), q.error)
+        return Quantity(q.value * (1.0 + rel), q.error)
 
     monkeypatch.setattr(dynamics, "_net_intensity", scaled)
 
@@ -395,6 +397,42 @@ def test_bookkeeping_sees_a_planted_1e_4_fault(monkeypatch, plant):
     plant(monkeypatch)
     faulty = quiet_evolve(HOT_START, BATH, BAND, THERMO, cfg, SPEC)
     assert bookkeeping_rel(faulty) >= 1e-5
+
+
+# ------------------------------------------------------------------ monitor
+
+LORENTZ = LorentzOscillator(1.0, 2.0, 0.5)
+
+
+def test_monitor_raises_on_a_planted_1e_9_fault(monkeypatch):
+    """A 1e-9 relative error in the 2D intensity stops the run at t = 0."""
+    _scaled_intensity(monkeypatch, rel=1e-9)
+    with pytest.raises(MonitorViolation, match="at t = 0: "):
+        quiet_evolve(HOT_START, BATH, BAND, THERMO, EvolveConfig(t_end=0.5), SPEC)
+
+
+@pytest.mark.parametrize("beta, passes", [(0.96, True), (0.98, False)])
+def test_monitor_stops_where_verify_fails(beta, passes):
+    """evolve raises at t = 0 iff verify_all's energy-balance check fails there."""
+    state = ParticleState(beta=beta, mass=100.0, temperature=0.5)
+    check = verify_all(state, BATH, LORENTZ, SPEC).checks[0]
+    assert check.name == "energy-balance" and check.passed is passes
+    cfg = EvolveConfig(t_end=1.0)
+    if passes:
+        assert quiet_evolve(state, BATH, LORENTZ, THERMO, cfg, SPEC).termination == "t_end"
+    else:
+        with pytest.raises(MonitorViolation, match="at t = 0: "):
+            quiet_evolve(state, BATH, LORENTZ, THERMO, cfg, SPEC)
+
+
+def test_256_inner_nodes_carry_evolve_to_beta_0_99():
+    """The README's stopgap: 64 inner nodes stop the run at t = 0, 256 complete it."""
+    state = ParticleState(beta=0.99, mass=100.0, temperature=0.5)
+    cfg = EvolveConfig(t_end=1.0)
+    with pytest.raises(MonitorViolation, match="at t = 0: "):
+        quiet_evolve(state, BATH, LORENTZ, THERMO, cfg, SPEC)
+    traj = quiet_evolve(state, BATH, LORENTZ, THERMO, cfg, QuadratureSpec(inner_nodes=256))
+    assert traj.termination == "t_end"
 
 
 # -------------------------------------------------------------- convergence
