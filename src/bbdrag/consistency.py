@@ -21,11 +21,13 @@ Every production observable (force_lab, heating_rate, intensity,
 drag_combination, force_rest_frame) is a 1D integral over the
 rest-frame frequency.  The verification route lives here: the lab
 force, the net intensity, the direct rest force and the two spontaneous
-terms as 2D Doppler quadratures, so each relation checks one route
-against the other.  Every check compares independent
-quadratures, so the acceptance threshold is tied to their error
-estimates: pass iff residual <= max(10 * RSS(error estimates),
-ABS_FLOOR), never a bare epsilon.  ABS_FLOOR = 1e-12 internal units absorbs exact-zero cases.
+terms as 2D Doppler quadratures (SpontaneousTerms; verify_all checks
+the force term against -beta*P(T1) from its own intensity call), so
+each relation checks one route against the other.  Every check compares
+independent quadratures, so the acceptance threshold is tied to their
+error estimates: pass iff residual <= max(10 * RSS(error estimates),
+ABS_FLOOR), never a bare epsilon.  ABS_FLOOR = 1e-12 internal units
+absorbs exact-zero cases.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .observables import (
     Quantity,
     _diag,
     _doppler_integral,
-    _emitted_power,
     _zero,
     drag_combination,
     force_lab,
@@ -176,23 +177,14 @@ class SpontaneousTerms:
     force_term: the T1-dependent part of the lab force; drift_term: the
     T1-dependent part of gamma^2*beta*Qdot.  Equality of the two (both
     evaluated by direct 2D quadrature) is what removes every trace of
-    the particle temperature from the drag combination.  emitted_power
-    is the rest-frame emission P(T1) = (4/pi) Int w^4 a''(w) n(w, T1) dw
-    (observables._emitted_power; exact 0 at T1 = 0), and reduced_force
-    re-derives force_term as its change-of-variables form -beta*P(T1),
-    an independent check.
+    the particle temperature from the drag combination.  verify_all
+    also checks force_term against its change-of-variables form
+    -beta*P(T1) ("spontaneous-term-reduction").
     """
 
     force_term: Quantity
     drift_term: Quantity
-    reduced_force: float
-    emitted_power: Quantity
     cancellation: IdentityCheck
-    reduction: IdentityCheck
-
-    @property
-    def residual(self) -> float:
-        return self.cancellation.residual
 
 
 def spontaneous_term_cancellation(
@@ -204,18 +196,16 @@ def spontaneous_term_cancellation(
     """Evaluate both spontaneous-emission terms and their cancellation.
 
     Both terms are computed as genuine 2D quadratures (not through the
-    1D reduction, which would make the comparison circular); the
-    reduction is returned separately.
+    1D reduction, which would make the comparison circular); no 1D
+    integral is evaluated here.
     """
     b, t1 = state.beta, state.temperature
     g = lorentz_gamma(b)
-    power = _emitted_power(t1, model, spec)
 
     if t1 == 0.0 or b == 0.0:
         reason = "no spontaneous term at T1 = 0" if t1 == 0.0 else "odd/zero at beta = 0"
         force_term = Quantity(0.0, 0.0, {"short_circuit": reason})
         drift_term = Quantity(0.0, 0.0, {"short_circuit": reason})
-        reduced = 0.0
     else:
         # T2 = 0 keeps -n(w_b, T1) alone, hence the negated prefactors.
         force_term = _doppler_integral(
@@ -224,22 +214,14 @@ def spontaneous_term_cancellation(
         drift_term = _doppler_integral(
             lambda x, u: u**3, _PREF * g**3 * b, b, t1, 0.0, model, spec
         )
-        reduced = -b * power.value
 
-    cancellation = _residual_check(
+    return SpontaneousTerms(force_term, drift_term, _residual_check(
         "spontaneous-term-cancellation",
         force_term.value,
         drift_term.value,
         force_term.error,
         drift_term.error,
-    )
-    reduction = _residual_check(
-        "spontaneous-term-reduction",
-        force_term.value,
-        reduced,
-        force_term.error,
-    )
-    return SpontaneousTerms(force_term, drift_term, reduced, power, cancellation, reduction)
+    ))
 
 
 def inner_closed_forms(
@@ -273,7 +255,7 @@ def verify_all(
     split (P(T1) - I2 against the net I), and the sign constraints on
     the drag and the direct rest force.
     """
-    b = state.beta
+    b, t1 = state.beta, state.temperature
     f = force_lab(state, bath, model, spec)
     q = heating_rate(state, bath, model, spec)
     _, emitted, absorbed = intensity(state, bath, model, spec)
@@ -286,7 +268,9 @@ def verify_all(
         _energy_balance(b, net, f, q),
         _frame_force("frame-force-relation", b, fp, f, q),
         spont.cancellation,
-        spont.reduction,
+        _residual_check("spontaneous-term-reduction", spont.force_term.value,
+                        0.0 if t1 == 0.0 or b == 0.0 else -b * emitted.value,
+                        spont.force_term.error),
         _residual_check("rest-force-dual-form", fp.value, drag.value, fp.error, drag.error),
         _frame_force("drag-composition", b, drag, _lab_force_2d(state, bath, model, spec), q),
         _residual_check(

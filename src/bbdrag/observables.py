@@ -60,6 +60,11 @@ _doppler_integral for the 2D integrals and _integrate_thermal for the
 force_rest_frame_nr).  Each applies the prefactor and its sign, and
 returns an exact +0.0 where the integral underflows.  It also adds the
 truncation bound at the cutoff to the error and builds the diagnostics.
+_integrate_thermal starts its seed ladder at the lower of the thermal
+scale and the model's feature frequency, so a smooth spectrum far below
+a high temperature still gets nodes.  evaluate_bundle evaluates P(T1)
+and I2 once and composes every member from them (_force_lab,
+_heating_rate, _intensity), bitwise equal to the standalone observables.
 
 Every observable returns a Quantity carrying the value, a conservative
 error estimate, and quadrature diagnostics, including the largest
@@ -88,7 +93,7 @@ from .kernels import (
     integrate_omega_x,
     lorentz_gamma,
 )
-from .polarizability import PolarizabilityModel, alpha_im, breakpoints
+from .polarizability import PolarizabilityModel, alpha_im, breakpoints, feature_frequency
 
 _PREF = 2.0 / math.pi
 
@@ -290,19 +295,20 @@ def _integrate_thermal(
     `lowest` its lowest thermal scale.  An exact 0 when the cutoff lies
     below _OMEGA_DOMAIN_FLOOR (a zero or underflowing temperature).
     Panel edges are the model's breakpoints and the geometric ladder
-    lowest * 2^k below the cutoff, so that an integral whose cutoff lies
-    far above its thermal scale (gamma >> 1) still puts nodes on the
-    thermal peak, with a panel count growing like log(cut/lowest).  The
-    error includes the truncation bound kernels._tail_bound.  "neval"
-    counts integrate_omega_x kernel evaluations, none on this route;
-    "nodes" counts the 1D integrand's.
+    start * 2^k below the cutoff, start = min(lowest, feature frequency),
+    so that an integral whose cutoff lies far above its thermal scale
+    (gamma >> 1) still puts nodes on the thermal peak, and one far above
+    a smooth spectrum still samples it, with a panel count growing like
+    log(cut/start).  The error includes the truncation bound
+    kernels._tail_bound.  "neval" counts integrate_omega_x kernel
+    evaluations, none on this route; "nodes" counts the 1D integrand's.
     """
     cut = spec.u_max * decay
     if cut < _OMEGA_DOMAIN_FLOOR:
         return _zero("no photons: the temperature is 0 or its domain underflows")
     seeds = list(breakpoints(model))
     # A lowest scale that underflows to 0 would never climb to the cutoff.
-    lowest = max(lowest, _OMEGA_DOMAIN_FLOOR)
+    lowest = max(min(lowest, feature_frequency(model) or lowest), _OMEGA_DOMAIN_FLOOR)
     while lowest < cut:
         seeds.append(lowest)
         lowest *= 2.0
@@ -459,6 +465,17 @@ def _bath_integral(
     return _integrate_thermal(integrand, pref, t2 / blue, t2 * blue, model, spec)
 
 
+def _force_lab(b: float, t2: float, model: PolarizabilityModel, spec: QuadratureSpec,
+               power: Quantity, absorbed: Quantity) -> Quantity:
+    """F_x = bath K term - beta P(T1) from the bare P(T1) and I2 (force_lab)."""
+    bath_term = _bath_integral("force", b, t2, model, spec)
+    diag = dict(bath_term.diagnostics)
+    diag["nodes"] += absorbed.diagnostics["nodes"] + power.diagnostics["nodes"]
+    rounding = b * (_FORCE_ROUNDING * absorbed.value + _ROUNDING * power.value)
+    return Quantity(bath_term.value - b * power.value,
+                    bath_term.error + b * power.error + rounding, diag)
+
+
 def force_lab(
     state: ParticleState,
     bath: BathSpec,
@@ -475,17 +492,31 @@ def force_lab(
     _FORCE_ROUNDING * beta * I2 joins the error, with _ROUNDING * beta P
     for the emitted term.
     """
-    b, t1, t2 = state.beta, state.temperature, bath.temperature
+    b, t2 = state.beta, bath.temperature
     if b == 0.0:
         return _zero("integrand odd in x at beta = 0")
-    bath_term = _bath_integral("force", b, t2, model, spec)
-    absorbed = _bath_integral("absorb", b, t2, model, spec)
-    power = _emitted_power(t1, model, spec)
-    diag = dict(bath_term.diagnostics)
-    diag["nodes"] += absorbed.diagnostics["nodes"] + power.diagnostics["nodes"]
-    rounding = b * (_FORCE_ROUNDING * absorbed.value + _ROUNDING * power.value)
-    return Quantity(bath_term.value - b * power.value,
-                    bath_term.error + b * power.error + rounding, diag)
+    return _force_lab(b, t2, model, spec, _emitted_power(state.temperature, model, spec),
+                      _bath_integral("absorb", b, t2, model, spec))
+
+
+def _heating_rate(b: float, t1: float, t2: float, model: PolarizabilityModel,
+                  spec: QuadratureSpec, power: Quantity) -> Quantity:
+    """Qdot = A - P(T1)/gamma^2 from the bare P(T1) at `spec` (heating_rate)."""
+    g2 = lorentz_gamma(b) ** 2
+    absorbed = _bath_integral("heat", b, t2, model, spec)
+    gross = absorbed.value + power.value / g2
+    need = max(spec.rel_tol * abs(absorbed.value - power.value / g2), spec.abs_tol,
+               _ROUNDING * gross)
+    if absorbed.error + power.error / g2 > need:
+        # The terms cancel: refine both to the tolerance of their difference.
+        spec = replace(spec, rel_tol=need / gross)
+        absorbed = _bath_integral("heat", b, t2, model, spec)
+        power = _emitted_power(t1, model, spec)
+        gross = absorbed.value + power.value / g2
+    diag = dict(absorbed.diagnostics)
+    diag["nodes"] += power.diagnostics["nodes"]
+    return Quantity(absorbed.value - power.value / g2,
+                    absorbed.error + power.error / g2 + _HEAT_ROUNDING * gross, diag)
 
 
 def heating_rate(
@@ -503,26 +534,18 @@ def heating_rate(
     the tolerance of the net value; a rounding bound _HEAT_ROUNDING * (A +
     P/gamma^2) joins the error.
     """
-    b, t1, t2 = state.beta, state.temperature, bath.temperature
-    g2 = lorentz_gamma(b) ** 2
+    t1 = state.temperature
+    return _heating_rate(state.beta, t1, bath.temperature, model, spec,
+                         _emitted_power(t1, model, spec))
 
-    def split(s: QuadratureSpec) -> tuple[Quantity, Quantity]:
-        """(A, P(T1)/gamma^2)."""
-        p = _emitted_power(t1, model, s)
-        return (_bath_integral("heat", b, t2, model, s),
-                Quantity(p.value / g2, p.error / g2, p.diagnostics))
 
-    absorbed, emitted = split(spec)
-    gross = absorbed.value + emitted.value
-    need = max(spec.rel_tol * abs(absorbed.value - emitted.value), spec.abs_tol, _ROUNDING * gross)
-    if absorbed.error + emitted.error > need:
-        # The terms cancel: refine both to the tolerance of their difference.
-        absorbed, emitted = split(replace(spec, rel_tol=need / gross))
-        gross = absorbed.value + emitted.value
-    diag = dict(absorbed.diagnostics)
-    diag["nodes"] += emitted.diagnostics["nodes"]
-    return Quantity(absorbed.value - emitted.value,
-                    absorbed.error + emitted.error + _HEAT_ROUNDING * gross, diag)
+def _intensity(power: Quantity, absorbed: Quantity) -> tuple[Quantity, Quantity, Quantity]:
+    """(I, I1, I2) from the bare P(T1) and I2, with their rounding bounds (intensity)."""
+    emitted = replace(power, error=power.error + _ROUNDING * power.value)
+    absorbed = replace(absorbed, error=absorbed.error + _ABSORB_ROUNDING * absorbed.value)
+    net = Quantity(emitted.value - absorbed.value, emitted.error + absorbed.error,
+                   {"emitted": emitted.diagnostics, "absorbed": absorbed.diagnostics})
+    return net, emitted, absorbed
 
 
 def intensity(
@@ -540,16 +563,8 @@ def intensity(
     * I2 of their kernels join the errors.  Positive I means the particle
     loses energy to radiation.
     """
-    emitted = _emitted_power(state.temperature, model, spec)
-    emitted = replace(emitted, error=emitted.error + _ROUNDING * emitted.value)
-    absorbed = _bath_integral("absorb", state.beta, bath.temperature, model, spec)
-    absorbed = replace(absorbed, error=absorbed.error + _ABSORB_ROUNDING * absorbed.value)
-    net = Quantity(
-        emitted.value - absorbed.value,
-        emitted.error + absorbed.error,
-        {"emitted": emitted.diagnostics, "absorbed": absorbed.diagnostics},
-    )
-    return net, emitted, absorbed
+    return _intensity(_emitted_power(state.temperature, model, spec),
+                      _bath_integral("absorb", state.beta, bath.temperature, model, spec))
 
 
 def drag_combination(
@@ -624,13 +639,17 @@ def evaluate_bundle(
     model: PolarizabilityModel,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> ObservableBundle:
-    """Evaluate every observable at one parameter point."""
-    net, emitted, absorbed = intensity(state, bath, model, spec)
-    return ObservableBundle(
-        force_lab=force_lab(state, bath, model, spec),
-        heating_rate=heating_rate(state, bath, model, spec),
-        intensity=net,
-        intensity_emitted=emitted,
-        intensity_absorbed=absorbed,
-        force_rest_frame=force_rest_frame(state, bath, model, spec),
-    )
+    """Evaluate every observable at one parameter point.
+
+    P(T1) and the absorbed term I2 are evaluated once and shared by the
+    members that compose them; each member is bitwise the standalone
+    observable's value and error.
+    """
+    b, t1, t2 = state.beta, state.temperature, bath.temperature
+    power = _emitted_power(t1, model, spec)
+    absorbed = _bath_integral("absorb", b, t2, model, spec)
+    force = (force_lab(state, bath, model, spec) if b == 0.0
+             else _force_lab(b, t2, model, spec, power, absorbed))
+    # Fields in order: force_lab, heating_rate, (I, I1, I2), force_rest_frame.
+    return ObservableBundle(force, _heating_rate(b, t1, t2, model, spec, power),
+                            *_intensity(power, absorbed), force_rest_frame(state, bath, model, spec))

@@ -149,6 +149,15 @@ def breakpoints(model: PolarizabilityModel) -> tuple[float, ...]:
     return ()
 
 
+def feature_frequency(model: PolarizabilityModel) -> float | None:
+    """Where a smooth alpha'' lives: omega0, omega_p/sqrt(3) (Drude), omega_c (Ohmic)."""
+    if isinstance(model, LorentzOscillator):
+        return model.omega0
+    if isinstance(model, DrudeSphere):
+        return model.omega_p / math.sqrt(3.0)
+    return model.omega_c if isinstance(model, Ohmic) else None
+
+
 def point_dipole_wavelength_bound(t1: float, t2: float) -> float:
     """Tightest thermal-wavelength scale 2*pi / max(T1, T2) (internal units).
 

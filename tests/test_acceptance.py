@@ -123,7 +123,8 @@ def test_criterion_01_spontaneous_term_cancellation():
                 scale = abs(terms.force_term.value)
                 assert scale > 0.0, f"degenerate point {model_label(model)} {beta} {t1}"
                 cancel = abs(terms.force_term.value - terms.drift_term.value) / scale
-                reduce_ = abs(terms.force_term.value - terms.reduced_force) / scale
+                reduced_force = -beta * intensity(state, bath, model, SPEC)[1].value
+                reduce_ = abs(terms.force_term.value - reduced_force) / scale
                 tag = f"{model_label(model)} beta={beta} T1={t1}"
                 assert cancel <= 1e-7, f"{tag}: cancellation rel {cancel:.3e} > 1e-7"
                 assert reduce_ <= 1e-7, f"{tag}: 1D reduction rel {reduce_:.3e} > 1e-7"

@@ -9,6 +9,7 @@ and the trajectory integration it measures still record their spans.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import sys
 import warnings
@@ -21,6 +22,12 @@ from bbdrag import (BathSpec, EvolveConfig, LorentzOscillator, MaterialThermo, P
                     TopHat)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bbdrag"
+
+# Imported only so that the tracer can patch them by name (# noqa: F401).
+TRACER_ONLY_IMPORTS = {"cli.ThreadPoolExecutor", "consistency.force_rest_frame",
+                       "dynamics.alpha_im", "dynamics.bose_occupation",
+                       "dynamics.integrate_omega_x"}
 
 PATCHED = ("run", "verify_all", "equilibrium_temperature", "ThreadPoolExecutor",
            "_SWEEP_OBSERVABLES", "force_lab", "heating_rate", "intensity",
@@ -118,3 +125,24 @@ def test_tracer_records_the_verification_route_and_uninstalls(monkeypatch):
     assert "kernels.integrate_omega_x" in names
     assert names.count("observables.drag_combination") == 1
     assert {name: getattr(consistency, name) for name in CONSISTENCY_PATCHED} == before
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names a module imports (outside __future__) but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_the_only_unused_imports_are_the_tracer_only_ones():
+    """The package has no linter: an import nothing reads is either one the
+    tracer patches by name, listed here on purpose, or dead code."""
+    unused = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != "__init__" for name in _unused_imports(path)}
+    assert unused == TRACER_ONLY_IMPORTS

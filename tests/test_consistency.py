@@ -15,6 +15,7 @@ from bbdrag import (
     heating_rate,
     force_lab,
     inner_closed_forms,
+    intensity,
     lorentz_gamma,
     spontaneous_term_cancellation,
     verify_all,
@@ -93,18 +94,23 @@ def test_drag_composition_cancels_particle_temperature():
         assert abs(f_hot) > 5.0 * abs(drag.value), type(model).__name__
 
 
+def _reduction(state, bath, model):
+    """verify_all's spontaneous-term-reduction check at one point."""
+    report = verify_all(state, bath, model, SPEC)
+    return next(c for c in report.checks if c.name == "spontaneous-term-reduction")
+
+
 def test_spontaneous_terms_shortcircuit_cleanly():
     bath = BathSpec(1.0)
-    cold = spontaneous_term_cancellation(
-        ParticleState(beta=0.5, mass=1.0, temperature=0.0), bath, REFERENCE_MODELS[0], SPEC
-    )
+    cold_state = ParticleState(beta=0.5, mass=1.0, temperature=0.0)
+    cold = spontaneous_term_cancellation(cold_state, bath, REFERENCE_MODELS[0], SPEC)
     assert cold.force_term.value == 0.0 and cold.drift_term.value == 0.0
-    assert cold.cancellation.passed and cold.reduction.passed
+    assert cold.cancellation.passed and _reduction(cold_state, bath, REFERENCE_MODELS[0]).passed
     at_rest = spontaneous_term_cancellation(
         ParticleState(beta=0.0, mass=1.0, temperature=2.0), bath, REFERENCE_MODELS[0], SPEC
     )
     assert at_rest.force_term.value == 0.0
-    assert at_rest.residual == 0.0
+    assert at_rest.cancellation.residual == 0.0
 
 
 def test_spontaneous_terms_nontrivial_point():
@@ -113,9 +119,8 @@ def test_spontaneous_terms_nontrivial_point():
     assert terms.force_term.value != 0.0
     rel = abs(terms.force_term.value - terms.drift_term.value) / abs(terms.force_term.value)
     assert rel <= 1e-7
-    assert abs(terms.force_term.value - terms.reduced_force) <= 1e-7 * abs(
-        terms.force_term.value
-    )
+    reduced_force = -0.7 * intensity(state, BathSpec(1.0), REFERENCE_MODELS[3], SPEC)[1].value
+    assert abs(terms.force_term.value - reduced_force) <= 1e-7 * abs(terms.force_term.value)
 
 
 def test_identity_residuals_and_bath_independence_of_inner_forms():
@@ -162,18 +167,17 @@ def test_intensity_split_catches_a_wrong_emitted_power(monkeypatch):
 
 
 def test_emitted_power_matches_the_reduced_force():
-    """P(T1) is the 1D integral behind the reduction: reduced_force = -beta * P."""
+    """P(T1) is the 1D integral behind verify_all's reduction: its rhs is -beta * P."""
     bath = BathSpec(1.0)
     for model in REFERENCE_MODELS:
-        terms = spontaneous_term_cancellation(
-            ParticleState(beta=0.7, mass=1.0, temperature=2.0), bath, model, SPEC
-        )
-        assert terms.emitted_power.value > 0.0
-        assert terms.reduced_force == pytest.approx(-0.7 * terms.emitted_power.value, rel=1e-14)
-    cold = spontaneous_term_cancellation(
-        ParticleState(beta=0.7, mass=1.0, temperature=0.0), bath, REFERENCE_MODELS[0], SPEC
-    )
-    assert cold.emitted_power.value == 0.0 and cold.emitted_power.error == 0.0
+        state = ParticleState(beta=0.7, mass=1.0, temperature=2.0)
+        emitted = intensity(state, bath, model, SPEC)[1]
+        assert emitted.value > 0.0
+        assert _reduction(state, bath, model).rhs == pytest.approx(-0.7 * emitted.value,
+                                                                   rel=1e-14)
+    cold = intensity(ParticleState(beta=0.7, mass=1.0, temperature=0.0), bath,
+                     REFERENCE_MODELS[0], SPEC)[1]
+    assert cold.value == 0.0 and cold.error == 0.0
 
 
 def test_verify_passes_at_the_smallest_subnormal_particle_temperature():
@@ -181,7 +185,7 @@ def test_verify_passes_at_the_smallest_subnormal_particle_temperature():
     state = ParticleState(beta=0.5, mass=1.0, temperature=5e-324)
     bath = BathSpec(1.0)
     for model in REFERENCE_MODELS:
-        assert spontaneous_term_cancellation(state, bath, model, SPEC).emitted_power.value == 0.0
+        assert intensity(state, bath, model, SPEC)[1].value == 0.0
         assert verify_all(state, bath, model, SPEC).passed
 
 

@@ -24,6 +24,7 @@ from bbdrag import (
     intensity,
     lorentz_gamma,
     spontaneous_term_cancellation,
+    verify_all,
 )
 from bbdrag.consistency import _lab_force_2d, _net_intensity
 
@@ -48,6 +49,49 @@ def test_state_validation():
         ParticleState(beta=0.5, mass=1.0, temperature=-2.0)
     with pytest.raises(ValueError, match="temperature"):
         BathSpec(temperature=math.nan)
+
+
+# -------------------------------------------------------------- one pass
+
+
+@pytest.mark.parametrize("t1, bundle_integrals, verify_integrals", [(0.5, 5, 8), (0.0, 4, 5)])
+def test_bundle_and_verify_evaluate_each_rest_frame_integral_once(
+    monkeypatch, t1, bundle_integrals, verify_integrals
+):
+    """The bundle evaluates P(T1), I2, A, K and the drag once each (P(T1) is
+    an exact 0 without an integral at T1 = 0); verify_all adds I2 and P(T1)
+    again through force_lab and heating_rate, and none in the spontaneous
+    terms.  Each bundle member is the standalone observable, value and error."""
+    import bbdrag.observables as observables
+
+    calls = []
+    original = observables.integrate_1d
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "integrate_1d", counting)
+    bath = BathSpec(1.0)
+    for model in REFERENCE_MODELS:
+        for beta in (0.1, 0.5, 0.9):
+            state = ParticleState(beta, 1.0, t1)
+            tag = (type(model).__name__, beta, t1)
+            calls.clear()
+            bundle = evaluate_bundle(state, bath, model, SPEC)
+            assert len(calls) == bundle_integrals, tag
+            calls.clear()
+            verify_all(state, bath, model, SPEC)
+            assert len(calls) == verify_integrals, tag
+            standalone = (force_lab(state, bath, model, SPEC),
+                          heating_rate(state, bath, model, SPEC),
+                          *intensity(state, bath, model, SPEC),
+                          force_rest_frame(state, bath, model, SPEC))
+            members = (bundle.force_lab, bundle.heating_rate, bundle.intensity,
+                       bundle.intensity_emitted, bundle.intensity_absorbed,
+                       bundle.force_rest_frame)
+            assert [(q.value, q.error) for q in members] == [
+                (q.value, q.error) for q in standalone], tag
 
 
 # -------------------------------------------------------------- closed forms
