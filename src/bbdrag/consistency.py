@@ -46,6 +46,8 @@ from .observables import (
     Quantity,
     _diag,
     _doppler_integral,
+    _rapidity_map,
+    _seed_ladder,
     _zero,
     drag_combination,
     force_lab,
@@ -151,22 +153,26 @@ def force_rest_frame_alt(
     the bath occupation carries the Doppler factor.  The thermal coth of
     this expression is used zero-point subtracted (coth - 1 = 2n); the
     discarded constant is even in x and integrates against x to zero,
-    so the subtraction is exact.  The counterpart of force_rest_frame,
-    the 1D integral over w' = gamma*w*(1+beta*x).
+    so the subtraction is exact; x comes from _rapidity_map.  The
+    counterpart of force_rest_frame, the 1D integral over gamma*w*(1+beta*x).
     """
     b, t2 = state.beta, bath.temperature
     if b == 0.0:
         return _zero("integrand odd in x at beta = 0")
     g = lorentz_gamma(b)
+    at = _rapidity_map(b)
 
-    def kern(om, x):
-        u = 1.0 + b * x
-        return x * om**4 * alpha_im(model, om) * bose_occupation(g * om * u, t2)
+    def kern(om, s):
+        x, u, jac = at(s)
+        return x * jac * om**4 * alpha_im(model, om) * bose_occupation(g * om * u, t2)
 
-    # The occupation argument is red-shifted down to w/D, D = sqrt((1+b)/(1-b)),
-    # at x = -1, so the tail decays over D T2.
-    decay = t2 * math.sqrt((1.0 + b) / (1.0 - b))
-    q = integrate_omega_x(kern, decay, spec, outer_seeds=breakpoints(model))
+    # The occupation argument spans [w/D, D w], D = sqrt((1+b)/(1-b)): the
+    # tail decays over D T2 and the lowest thermal scale is T2/D.
+    blue = math.sqrt((1.0 + b) / (1.0 - b))
+    breaks = breakpoints(model)
+    stop = min(spec.u_max * t2 * blue, max(breaks, default=math.inf))
+    q = integrate_omega_x(kern, t2 * blue, spec,
+                          outer_seeds=(*breaks, *_seed_ladder(t2 / blue, stop, model)))
     return Quantity(_PREF * q.value, _PREF * q.error, _diag(q, g, b))
 
 

@@ -17,19 +17,10 @@ accumulated in ascending-interval order, single-threaded, so results
 are bitwise reproducible regardless of how callers parallelize around
 the engine.
 
-The double integrals over (omega, x) -- the verification route of the
-consistency checks and the trajectory monitor; no production observable
-uses them -- apply a fixed-order Gauss-Legendre rule across x in
-[-1, 1] inside the adaptive omega integral.  The inner integrand is
-smooth for the smooth polarizability models; models with jumps publish
-breakpoints, and callers pass ``inner_edges_fn`` so the inner rule is
-applied piecewise between the exact jump images, keeping spectral
-accuracy.  The fixed inner order is a documented trade: it must resolve
-the narrowest spectral feature of the model (the ``inner_nodes`` knob
-raises it), and the reported error has no term for the inner rule.  No
-test guards it: doubling ``inner_nodes`` from 64 to 128 moves some 2D
-values by up to about 128 times their own error, and from beta ~ 0.97
-up the 2D values miss by many times their errors (ROADMAP, F2 and F8).
+The double integrals over (omega, x) of the verification route apply a
+fixed _INNER_NODES-point Gauss-Legendre rule across the inner variable,
+piecewise between edges from the caller (a model's jump images), inside
+the adaptive omega integral; the reported error has no term for it.
 """
 
 from __future__ import annotations
@@ -46,6 +37,11 @@ BETA_MAX = 1.0 - 1e-9
 # Orders of the embedded Gauss-Legendre pair (value / error reference).
 _GL_LOW = 15
 _GL_HIGH = 31
+
+# Order of integrate_omega_x's inner rule per segment.  On verify's grid
+# over beta in [0.95, 0.995], 16 nodes fail from 0.95 and 64 fail at an
+# Ohmic point at 0.995 (1.08x; the inner rule has no error term); 32 pass.
+_INNER_NODES = 32
 
 # Per-panel error floor relative to the panel value: double-precision
 # roundoff of the node sum.  Joins the reported error so identity
@@ -88,16 +84,13 @@ class QuadratureSpec:
     the gross panel mass is reported on top of that and sets the
     attainable floor.  u_max sets the frequency cutoff in units of the
     relevant thermal scale.  max_subdivisions is the total panel-split
-    budget of one adaptive integral.  inner_nodes is the fixed
-    Gauss-Legendre order across x of the 2D verification quadrature
-    (integrate_omega_x); no production observable uses it.
+    budget of one adaptive integral.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
     u_max: float = 40.0
     max_subdivisions: int = 200
-    inner_nodes: int = 64
 
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
@@ -110,8 +103,6 @@ class QuadratureSpec:
             raise ValueError(
                 f"max_subdivisions must be a count >= 0, got {self.max_subdivisions!r}"
             )
-        if not (isinstance(self.inner_nodes, int) and self.inner_nodes >= 8):
-            raise ValueError(f"inner_nodes must be >= 8, got {self.inner_nodes!r}")
 
 
 @dataclass(frozen=True)
@@ -340,24 +331,24 @@ def integrate_omega_x(
 ) -> QuadResult:
     """Nested quadrature of kernel(omega, x) over (0, omega_max] x [-1, 1].
 
-    Fixed-order Gauss-Legendre across x (``spec.inner_nodes`` points)
-    inside adaptive quadrature over omega, truncated at
+    A fixed _INNER_NODES-point Gauss-Legendre rule across x on each inner
+    segment, inside adaptive quadrature over omega truncated at
     omega_max = ``spec.u_max * decay``.
 
     Parameters
     ----------
     kernel : callable
-        kernel(omega, x) with broadcasting: omega comes shaped
-        (..., 1) or (..., 1, 1) against x of shape (n,) or (panels, n).
+        kernel(omega, x) with broadcasting: omega comes shaped (N, 1, 1)
+        against x of shape (N or 1, k, n), k segments of n nodes.
     decay : float
         Length in omega over which the kernel's Wien tail decays, for
         every x in [-1, 1]; the caller knows its thermal scales.
     spec : QuadratureSpec
     inner_edges_fn : callable, optional
         Maps a flat omega array (N,) to an ascending edge array
-        (N, k + 1) spanning [-1, 1]; the inner rule is applied on each
-        [edge_i, edge_{i+1}] separately.  For integrands with jumps in
-        x (band-edge images); zero-width segments contribute nothing.
+        (N, k + 1) spanning [-1, 1], by default [[-1, 1]]; the inner
+        rule is applied on each [edge_i, edge_{i+1}] separately.  For
+        jumps in x (band-edge images); zero-width segments add nothing.
     outer_seeds : iterable of float, optional
         Initial panel edges for the omega integral (kink frequencies).
 
@@ -372,32 +363,18 @@ def integrate_omega_x(
     if omega_max < _OMEGA_DOMAIN_FLOOR:
         return QuadResult(0.0, 0.0, 0, 0, float(omega_max))
 
-    xg, wg = _gl_nodes(spec.inner_nodes)
+    xg, wg = _gl_nodes(_INNER_NODES)
     count = 0
 
-    if inner_edges_fn is None:
-
-        def inner(omega):
-            nonlocal count
-            count += omega.size * xg.size
-            vals = kernel(omega[..., None], xg)
-            return vals @ wg
-
-    else:
-
-        def inner(omega):
-            nonlocal count
-            flat = omega.reshape(-1)
-            edges = inner_edges_fn(flat)
-            seg_lo = edges[:, :-1]
-            seg_hi = edges[:, 1:]
-            half = 0.5 * (seg_hi - seg_lo)
-            mid = 0.5 * (seg_hi + seg_lo)
-            x = mid[:, :, None] + half[:, :, None] * xg
-            w = half[:, :, None] * wg
-            count += x.size
-            vals = kernel(flat[:, None, None], x)
-            return np.sum(vals * w, axis=(1, 2)).reshape(omega.shape)
+    def inner(omega):
+        nonlocal count
+        flat = omega.reshape(-1)
+        edges = np.array([[-1.0, 1.0]]) if inner_edges_fn is None else inner_edges_fn(flat)
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+        x = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None] + half * xg
+        count += flat.size * x[0].size
+        vals = kernel(flat[:, None, None], x)
+        return np.sum(vals * (half * wg), axis=(1, 2)).reshape(omega.shape)
 
     res = integrate_1d(inner, 0.0, omega_max, spec, seeds=outer_seeds)
     error = res.error + _tail_bound(inner, omega_max, spec)

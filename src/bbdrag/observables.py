@@ -49,22 +49,21 @@ u = 1 + bx and W[J] = Int dw' w'^4 a''(w') J(c):
 K and J1 in closed form through ln(1 - e^{-y}) and Li2(e^{-y}), and
 M1 = J0 - b K (_bath_kernel).  Each bath term is one adaptive 1D
 integral over w' with no integrate_omega_x call.  The 2D lab-frame
-Doppler quadrature (_doppler_integral) is the verification route only:
-consistency builds the lab force, the net intensity, the direct rest
-force and the spontaneous terms from it, and verify_all and the
-trajectory monitor compare the 1D values with them.
+Doppler quadrature (_doppler_integral, inner variable from
+_rapidity_map) is the verification route only: consistency builds the
+lab force, the net intensity, the direct rest force and the spontaneous
+terms from it, and verify_all and the trajectory monitor compare the 1D
+values with them.
 
 Each route has one helper that returns the finished Quantity:
-_doppler_integral for the 2D integrals and _integrate_thermal for the
-1D ones (the bath terms, P(T1) and the low-speed friction
-force_rest_frame_nr).  Each applies the prefactor and its sign, and
-returns an exact +0.0 where the integral underflows.  It also adds the
-truncation bound at the cutoff to the error and builds the diagnostics.
-_integrate_thermal starts its seed ladder at the lower of the thermal
-scale and the model's feature frequency, so a smooth spectrum far below
-a high temperature still gets nodes.  evaluate_bundle evaluates P(T1)
-and I2 once and composes every member from them (_force_lab,
-_heating_rate, _intensity), bitwise equal to the standalone observables.
+_doppler_integral (2D) and _integrate_thermal (1D: the bath terms,
+P(T1) and the low-speed friction force_rest_frame_nr).  Each applies
+the signed prefactor, returns an exact +0.0 where the integral
+underflows, adds the truncation bound at the cutoff to the error,
+builds the diagnostics and seeds its panels with _seed_ladder.
+evaluate_bundle evaluates P(T1) and I2 once and composes every member
+from them (_force_lab, _heating_rate, _intensity), bitwise equal to the
+standalone observables.
 
 Every observable returns a Quantity carrying the value, a conservative
 error estimate, and quadrature diagnostics, including the largest
@@ -198,46 +197,63 @@ def _zero(reason: str) -> Quantity:
 
 
 def _diag(q: QuadResult, gamma: float, beta: float) -> dict:
-    return {
-        "neval": q.neval,
-        "panels": q.panels,
-        "omega_max": q.omega_max,
-        "omega_beta_max": gamma * (1.0 + beta) * q.omega_max,
-    }
+    return {"neval": q.neval, "panels": q.panels, "omega_max": q.omega_max,
+            "omega_beta_max": gamma * (1.0 + beta) * q.omega_max}
 
 
-def _doppler_geometry(model: PolarizabilityModel, beta: float, gamma: float):
-    """Inner-edge function and outer seeds for kernels sampling a''(w_b).
+def _rapidity_map(beta: float):
+    """at(s) -> (x, u = 1 + beta x, dx/ds) for the 2D route's inner variable s in [-1, 1].
 
-    A jump of a'' at w_e shows up along the line x*(w) = (w_e/(gamma*w)
-    - 1)/beta; the inner rule must split there, and the outer integrand
-    has kinks where that line enters or leaves the x range, i.e. at
-    w_e/(gamma*(1 +/- beta)) and w_e/gamma.
+    u = e^(eta s)/cosh eta with eta = artanh beta, so w_b = gamma w u
+    spreads its e-folds evenly over s; x = (expm1(eta s) - 2 sinh^2(eta/2))
+    / sinh eta is exact to rounding, and 1 + beta x is never formed.
+    """
+    eta = math.atanh(beta)
+    if eta == 0.0:
+        return lambda s: (s, 1.0, 1.0)
+    sh, g, lift = math.sinh(eta), math.cosh(eta), 2.0 * math.sinh(0.5 * eta) ** 2
+
+    def at(s):
+        e = np.exp(eta * s)
+        return (np.expm1(eta * s) - lift) / sh, e / g, (eta / sh) * e
+
+    return at
+
+
+def _seed_ladder(lowest: float, stop: float, model: PolarizabilityModel) -> list[float]:
+    """Panel edges start * 2^k below stop, start = min(lowest, feature frequency).
+
+    A cutoff far above the thermal scale (gamma >> 1) or a smooth spectrum
+    still gets nodes there.  A start below _OMEGA_DOMAIN_FLOOR is raised to it.
+    """
+    start = max(min(lowest, feature_frequency(model) or lowest), _OMEGA_DOMAIN_FLOOR)
+    seeds = []
+    while start < stop:
+        seeds.append(start)
+        start *= 2.0
+    return seeds
+
+
+def _jump_edges(model: PolarizabilityModel, beta: float):
+    """Inner-edge function at the jumps of a''(w_b): s*(w) = ln(w_e/w)/eta.
+
+    None without jumps, and at beta = 0, where w_b = w: the jumps are then
+    outer seeds only.
     """
     breaks = breakpoints(model)
-    if not breaks:
-        return None, ()
-    if beta == 0.0:
-        # w_b = w exactly; the jumps live in the outer variable only.
-        return None, tuple(breaks)
+    if not breaks or beta == 0.0:
+        return None
+    eta = math.atanh(beta)
 
     def edges_fn(omega):
-        cols = [np.full(omega.shape, -1.0)]
         # omega -> 0 sends the raw edge to inf before the clip catches it
         with np.errstate(over="ignore", divide="ignore"):
-            for w_e in breaks:
-                cols.append(np.clip((w_e / (gamma * omega) - 1.0) / beta, -1.0, 1.0))
-        cols.append(np.full(omega.shape, 1.0))
-        edges = np.stack(cols, axis=-1)
+            cols = [np.clip(np.log(w_e / omega) / eta, -1.0, 1.0) for w_e in breaks]
+        edges = np.stack([np.full(omega.shape, -1.0), *cols, np.full(omega.shape, 1.0)], axis=-1)
         edges.sort(axis=-1)
         return edges
 
-    seeds = []
-    for w_e in breaks:
-        seeds.extend(
-            (w_e / (gamma * (1.0 + beta)), w_e / gamma, w_e / (gamma * (1.0 - beta)))
-        )
-    return edges_fn, tuple(seeds)
+    return edges_fn
 
 
 def _doppler_integral(
@@ -252,19 +268,21 @@ def _doppler_integral(
     """pref * Int dw w^4 Int dx weight(x, 1+bx) a''(w_b) [n(w,T2) - n(w_b,T1)].
 
     The one lab-frame Doppler integral behind every observable that
-    samples a''(w_b); callers differ only in the angular weight and the
-    signed prefactor.  Passing t1 = 0 keeps the bath term alone and
-    t2 = 0 the (negative) particle term alone, since n(., 0) is exactly
-    0.  The cutoff is u_max * max(T2, D T1), D = sqrt((1+b)/(1-b)): the
-    particle term n(w_b, T1) has its argument w_b >= w / D, so it decays
-    over D T1 in w.  An exact zero comes back as +0.0 whatever the sign
-    of pref.
+    samples a''(w_b), x from _rapidity_map; callers differ only in the
+    angular weight and the signed prefactor.  Passing t1 = 0 keeps the
+    bath term alone and t2 = 0 the (negative) particle term alone, since
+    n(., 0) is exactly 0.  The cutoff is u_max * max(T2, D T1), D =
+    sqrt((1+b)/(1-b)), since n(w_b, T1) decays over D T1 in w.  A jump of
+    a'' at w_e puts outer kinks at w_e/(gamma*(1 +/- beta)) and w_e/gamma,
+    and a'' is 0 above the last.  The seed ladder starts at the lowest
+    scale min(T2, T1/D) of the terms that do not underflow and ends at
+    the cutoff or that kink.  An exact zero comes back as +0.0.
     """
     g = lorentz_gamma(beta)
-    edges_fn, seeds = _doppler_geometry(model, beta, g)
+    at = _rapidity_map(beta)
 
-    def kern(om, x):
-        u = 1.0 + beta * x
+    def kern(om, s):
+        x, u, jac = at(s)
         wb = g * om * u
         # A zero-temperature term is skipped, not subtracted as an array of
         # zeros: bitwise the same result, one full-size array pass fewer.
@@ -274,10 +292,16 @@ def _doppler_integral(
             occ = 0.0 - bose_occupation(wb, t1)
         else:
             occ = bose_occupation(om, t2) - bose_occupation(wb, t1)
-        return weight(x, u) * om**4 * alpha_im(model, wb) * occ
+        return weight(x, u) * jac * om**4 * alpha_im(model, wb) * occ
 
-    decay = max(t2, t1 * math.sqrt((1.0 + beta) / (1.0 - beta)))
-    q = integrate_omega_x(kern, decay, spec, inner_edges_fn=edges_fn, outer_seeds=seeds)
+    blue = math.sqrt((1.0 + beta) / (1.0 - beta))
+    decay = max(t2, t1 * blue)
+    lowest = min((t for t, d in ((t2, t2), (t1 / blue, t1 * blue))
+                  if spec.u_max * d >= _OMEGA_DOMAIN_FLOOR), default=math.inf)
+    kinks = [w_e / (g * f) for w_e in breakpoints(model) for f in (1.0 + beta, 1.0, 1.0 - beta)]
+    stop = min(spec.u_max * decay, max(kinks, default=math.inf))
+    q = integrate_omega_x(kern, decay, spec, inner_edges_fn=_jump_edges(model, beta),
+                          outer_seeds=(*kinks, *_seed_ladder(lowest, stop, model)))
     return Quantity(pref * q.value + 0.0, abs(pref) * q.error, _diag(q, g, beta))
 
 
@@ -294,24 +318,15 @@ def _integrate_thermal(
     `decay` is the length over which the integrand's Wien tail decays and
     `lowest` its lowest thermal scale.  An exact 0 when the cutoff lies
     below _OMEGA_DOMAIN_FLOOR (a zero or underflowing temperature).
-    Panel edges are the model's breakpoints and the geometric ladder
-    start * 2^k below the cutoff, start = min(lowest, feature frequency),
-    so that an integral whose cutoff lies far above its thermal scale
-    (gamma >> 1) still puts nodes on the thermal peak, and one far above
-    a smooth spectrum still samples it, with a panel count growing like
-    log(cut/start).  The error includes the truncation bound
+    Panel edges are the model's breakpoints and the _seed_ladder from
+    `lowest` up to the cutoff.  The error includes the truncation bound
     kernels._tail_bound.  "neval" counts integrate_omega_x kernel
     evaluations, none on this route; "nodes" counts the 1D integrand's.
     """
     cut = spec.u_max * decay
     if cut < _OMEGA_DOMAIN_FLOOR:
         return _zero("no photons: the temperature is 0 or its domain underflows")
-    seeds = list(breakpoints(model))
-    # A lowest scale that underflows to 0 would never climb to the cutoff.
-    lowest = max(min(lowest, feature_frequency(model) or lowest), _OMEGA_DOMAIN_FLOOR)
-    while lowest < cut:
-        seeds.append(lowest)
-        lowest *= 2.0
+    seeds = [*breakpoints(model), *_seed_ladder(lowest, cut, model)]
     q = integrate_1d(integrand, 0.0, cut, spec, seeds=seeds)
     error = q.error + _tail_bound(integrand, cut, spec)
     return Quantity(pref * q.value + 0.0, abs(pref) * error,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -23,9 +24,10 @@ from bbdrag import (
     heating_rate,
     intensity,
 )
-from bbdrag.cli import ConfigError, load_config, run
+from bbdrag.cli import _FLAG_FIELDS, ConfigError, _flag, load_config, run
 from bbdrag.dynamics import EvolveConfig
 from bbdrag.kernels import QuadratureSpec
+from bbdrag.units import UnitSystem
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -154,14 +156,18 @@ def test_config_flag_parse_error_exits_1(tmp_path, capsys):
     assert "line 2 column" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["balance_substeps", "beta_floor", "temperature_tol"])
-def test_removed_balance_substeps_field_exits_1(tmp_path, capsys, field):
-    """Removed evolve fields are unknown: the radiated energy is an ODE
-    variable (no trapezoid substeps), and the steady-state thresholds are
-    dynamics constants."""
-    path = write_cfg(tmp_path, {"evolve": {field: 4}})
+@pytest.mark.parametrize("section, field", [
+    pytest.param(section, field, id=field) for section, field in (
+        ("evolve", "balance_substeps"), ("evolve", "beta_floor"),
+        ("evolve", "temperature_tol"), ("quadrature", "inner_nodes"))
+])
+def test_removed_balance_substeps_field_exits_1(tmp_path, capsys, section, field):
+    """Removed fields are unknown: the radiated energy is an ODE variable
+    (no trapezoid substeps), the steady-state thresholds are dynamics
+    constants, and the 2D route's inner rule has a fixed order."""
+    path = write_cfg(tmp_path, {section: {field: 4}})
     assert run(["evolve", "--config", path]) == 1
-    assert f"evolve.{field}: unknown field" in capsys.readouterr().err
+    assert f"{section}.{field}: unknown field" in capsys.readouterr().err
 
 
 def test_derived_omega_ref_is_not_a_units_field(tmp_path, capsys):
@@ -169,6 +175,42 @@ def test_derived_omega_ref_is_not_a_units_field(tmp_path, capsys):
     path = write_cfg(tmp_path, {"units": {"omega_ref": 1.0}})
     assert run(["force", "--config", path]) == 1
     assert "units.omega_ref: unknown field" in capsys.readouterr().err
+
+
+def _doc_sections() -> dict[str, list[str]]:
+    """Lines of docs/config.md under each "## " heading."""
+    sections: dict[str, list[str]] = {}
+    name = ""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+    for line in doc.read_text().splitlines():
+        if line.startswith("## "):
+            name = line[3:].strip()
+        sections.setdefault(name, []).append(line)
+    return sections
+
+
+def _first_table_keys(lines: list[str]) -> list[str]:
+    """The backticked first column of the first table in `lines`."""
+    keys: list[str] = []
+    for line in lines:
+        if line.startswith("| `"):
+            keys.append(line.split("`")[1])
+        elif keys:
+            break
+    return keys
+
+
+@pytest.mark.parametrize("section, cls", [("Units", UnitSystem), ("quadrature", QuadratureSpec),
+                                          ("evolve", EvolveConfig)])
+def test_config_doc_tables_list_exactly_the_config_fields(section, cls):
+    """docs/config.md documents every field the CLI reads, and no other."""
+    documented = _first_table_keys(_doc_sections()[section])
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(cls))
+
+
+def test_config_doc_flag_table_lists_exactly_the_cli_flags():
+    documented = _first_table_keys(_doc_sections()["Command-line overrides"])
+    assert sorted(documented) == sorted(_flag(dest) for dest in _FLAG_FIELDS)
 
 
 def test_config_flag_missing_file_exits_1(tmp_path, capsys):

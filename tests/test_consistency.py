@@ -189,17 +189,40 @@ def test_verify_passes_at_the_smallest_subnormal_particle_temperature():
         assert verify_all(state, bath, model, SPEC).passed
 
 
-@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: type(m).__name__)
-def test_256_inner_nodes_carry_the_2d_route_up_to_beta_0_99(model):
-    """The documented stopgap for the 2D route's fixed inner x-rule.
+# (T1, T2) pairs of the verification grids: particle colder, hotter and
+# much hotter than the bath, cold, in equilibrium, and the point where
+# outer panel seeds on an x-rule once broke the 2D route.
+TEMPERATURE_PAIRS = ((0.5, 1.0), (2.0, 1.0), (1.0, 0.3), (0.0, 1.0), (1.0, 1.0),
+                     (2.76, 1.38), (0.5, 0.3), (3.0, 3.0), (0.3, 3.0))
 
-    At the default 64 nodes the 2D quadratures miss from beta ~ 0.97 up
-    (27 of these 48 points fail); 256 nodes pass all of them.
-    """
-    spec = QuadratureSpec(inner_nodes=256)
+
+def _failed_checks(model, grid):
     failed = []
-    for beta in (0.96, 0.97, 0.98, 0.99):
-        for t1, t2 in ((0.5, 1.0), (2.0, 1.0), (1.0, 0.3)):
-            report = verify_all(ParticleState(beta, 1.0, t1), BathSpec(t2), model, spec)
-            failed += [(beta, t1, t2, c.name) for c in report.checks if not c.passed]
-    assert failed == []
+    for beta, t1, t2 in grid:
+        report = verify_all(ParticleState(beta, 1.0, t1), BathSpec(t2), model, SPEC)
+        failed += [(beta, t1, t2, c.name) for c in report.checks if not c.passed]
+    return failed
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: type(m).__name__)
+def test_verify_passes_from_beta_0_95_to_0_995(model):
+    """The 2D route's rapidity variable carries it up to beta = 0.995.
+
+    An inner rule evenly spread in x failed 164 of this grid's 288 calls
+    over the four models, from beta = 0.97 up.
+    """
+    betas = (0.95, 0.96, 0.97, 0.975, 0.98, 0.985, 0.99, 0.995)
+    assert _failed_checks(model, [(b, t1, t2) for b in betas
+                                  for t1, t2 in TEMPERATURE_PAIRS]) == []
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: type(m).__name__)
+def test_verify_passes_far_above_the_spectrum(model):
+    """The 2D route's outer seed ladder samples a spectrum far below T.
+
+    With panel seeds only at band-edge images, 45 of this grid's 60
+    calls over the four models failed: the first panel missed a''.
+    """
+    pairs = ((0.0, 1e6), (0.0, 1e8), (1e6, 1.0), (1e6, 1e6), (0.5, 1e6))
+    assert _failed_checks(model, [(b, t1, t2) for b in (0.1, 0.5, 0.9)
+                                  for t1, t2 in pairs]) == []

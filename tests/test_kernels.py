@@ -261,8 +261,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(u_max=5.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=-1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(inner_nodes=4)
     QuadratureSpec(max_subdivisions=0)  # zero refinement rounds is legal
 
 
