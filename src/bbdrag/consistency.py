@@ -19,11 +19,12 @@ reproduce to quadrature accuracy:
 
 Every production observable (force_lab, heating_rate, intensity,
 drag_combination, force_rest_frame) is a 1D integral over the
-rest-frame frequency.  The verification route lives here: the lab
-force, the net intensity, the direct rest force and the two spontaneous
-terms as 2D Doppler quadratures (SpontaneousTerms; verify_all checks
-the force term against -beta*P(T1) from its own intensity call), so
-each relation checks one route against the other.  Every check compares
+rest-frame frequency.  The verification route lives here: the net
+intensity, the lab force and the two spontaneous terms (SpontaneousTerms)
+from one vector 2D Doppler pass (_doppler_terms), and the direct rest
+force from a second, so each relation checks one route against the
+other; verify_all checks the force term against -beta*P(T1) from its
+own intensity call.  Every check compares
 independent quadratures, so the acceptance threshold is tied to their
 error estimates: pass iff residual <= max(10 * RSS(error estimates),
 ABS_FLOOR), never a bare epsilon.  ABS_FLOOR = 1e-12 internal units
@@ -116,28 +117,42 @@ def _frame_force(name: str, b: float, lhs: Quantity, f: Quantity, q: Quantity) -
     )
 
 
-def _lab_force_2d(
-    state: ParticleState, bath: BathSpec, model: PolarizabilityModel, spec: QuadratureSpec
-) -> Quantity:
-    """F_x by the lab-frame Doppler quadrature, the counterpart of force_lab."""
-    b = state.beta
-    if b == 0.0:
-        return _zero("integrand odd in x at beta = 0")
-    return _doppler_integral(lambda x, u: x * u * u, -_PREF * lorentz_gamma(b), b,
-                             state.temperature, bath.temperature, model, spec)
-
-
 def _net_intensity(
     state: ParticleState, bath: BathSpec, model: PolarizabilityModel, spec: QuadratureSpec
 ) -> Quantity:
-    """Net radiated power I = I1 - I2 as one lab-frame Doppler quadrature.
-
-    The counterpart of intensity, for verify_all and the trajectory
-    monitor of dynamics.evolve.
-    """
+    """Net radiated power I = I1 - I2 by one lab-frame Doppler quadrature (the monitor's)."""
     # The shared integral is absorbed minus emitted, so I is its negation.
     return _doppler_integral(lambda x, u: u * u, -_PREF * lorentz_gamma(state.beta), state.beta,
                              state.temperature, bath.temperature, model, spec)
+
+
+def _doppler_terms(
+    state: ParticleState, bath: BathSpec, model: PolarizabilityModel, spec: QuadratureSpec
+) -> tuple[Quantity, Quantity, Quantity, Quantity]:
+    """(net I, F_x, force term, drift term) from one vector lab-frame Doppler pass.
+
+    The counterparts of intensity and force_lab, and the T1-dependent
+    parts of F_x and gamma^2*beta*Qdot (SpontaneousTerms), each meeting
+    its own tolerance (_doppler_integral).  The forces are exact zeros at
+    beta = 0, where they are odd in x, and the spontaneous terms at T1 = 0.
+    """
+    b, t1 = state.beta, state.temperature
+    g = lorentz_gamma(b)
+    # The shared integral is absorbed minus emitted, so I and F_x carry
+    # negated prefactors; the spontaneous terms keep -n(w_b, T1) alone.
+    prefs = (-_PREF * g, -_PREF * g, -_PREF * g, _PREF * g**3 * b)[
+        :1 if b == 0.0 else 2 if t1 == 0.0 else 4]
+
+    def weights(x, u):
+        u2 = u * u
+        xu2 = x * u2
+        return (u2, xu2, xu2, u2 * u)[:len(prefs)]
+
+    terms = _doppler_integral(weights, prefs, b, t1, bath.temperature, model, spec,
+                              spontaneous=range(2, len(prefs)))
+    odd = _zero("integrand odd in x at beta = 0")
+    spont = _zero("odd/zero at beta = 0" if b == 0.0 else "no spontaneous term at T1 = 0")
+    return (*terms, *(odd, spont, spont)[len(terms) - 1:])  # the terms left out are exact zeros
 
 
 def force_rest_frame_alt(
@@ -180,17 +195,20 @@ def force_rest_frame_alt(
 class SpontaneousTerms:
     """The two particle-temperature contributions that cancel in the drag.
 
-    force_term: the T1-dependent part of the lab force; drift_term: the
-    T1-dependent part of gamma^2*beta*Qdot.  Equality of the two (both
-    evaluated by direct 2D quadrature) is what removes every trace of
-    the particle temperature from the drag combination.  verify_all
-    also checks force_term against its change-of-variables form
-    -beta*P(T1) ("spontaneous-term-reduction").
+    force_term and drift_term are the T1-dependent parts of the lab force
+    and of gamma^2*beta*Qdot, by direct 2D quadrature; their equality
+    removes every trace of T1 from the drag combination.  verify_all also
+    checks force_term against -beta*P(T1) ("spontaneous-term-reduction").
     """
 
     force_term: Quantity
     drift_term: Quantity
     cancellation: IdentityCheck
+
+
+def _cancellation(force_term: Quantity, drift_term: Quantity) -> IdentityCheck:
+    return _residual_check("spontaneous-term-cancellation", force_term.value, drift_term.value,
+                           force_term.error, drift_term.error)
 
 
 def spontaneous_term_cancellation(
@@ -201,33 +219,11 @@ def spontaneous_term_cancellation(
 ) -> SpontaneousTerms:
     """Evaluate both spontaneous-emission terms and their cancellation.
 
-    Both terms are computed as genuine 2D quadratures (not through the
-    1D reduction, which would make the comparison circular); no 1D
-    integral is evaluated here.
+    Both terms are genuine 2D quadratures from _doppler_terms, not the
+    1D reduction, which would make the comparison circular.
     """
-    b, t1 = state.beta, state.temperature
-    g = lorentz_gamma(b)
-
-    if t1 == 0.0 or b == 0.0:
-        reason = "no spontaneous term at T1 = 0" if t1 == 0.0 else "odd/zero at beta = 0"
-        force_term = Quantity(0.0, 0.0, {"short_circuit": reason})
-        drift_term = Quantity(0.0, 0.0, {"short_circuit": reason})
-    else:
-        # T2 = 0 keeps -n(w_b, T1) alone, hence the negated prefactors.
-        force_term = _doppler_integral(
-            lambda x, u: x * u * u, -_PREF * g, b, t1, 0.0, model, spec
-        )
-        drift_term = _doppler_integral(
-            lambda x, u: u**3, _PREF * g**3 * b, b, t1, 0.0, model, spec
-        )
-
-    return SpontaneousTerms(force_term, drift_term, _residual_check(
-        "spontaneous-term-cancellation",
-        force_term.value,
-        drift_term.value,
-        force_term.error,
-        drift_term.error,
-    ))
+    _, _, force_term, drift_term = _doppler_terms(state, bath, model, spec)
+    return SpontaneousTerms(force_term, drift_term, _cancellation(force_term, drift_term))
 
 
 def inner_closed_forms(
@@ -266,27 +262,19 @@ def verify_all(
     q = heating_rate(state, bath, model, spec)
     _, emitted, absorbed = intensity(state, bath, model, spec)
     drag = drag_combination(state, bath, model, spec)
-    net = _net_intensity(state, bath, model, spec)
+    net, f_2d, force_term, drift_term = _doppler_terms(state, bath, model, spec)
     fp = force_rest_frame_alt(state, bath, model, spec)
-    spont = spontaneous_term_cancellation(state, bath, model, spec)
 
     checks = (
         _energy_balance(b, net, f, q),
         _frame_force("frame-force-relation", b, fp, f, q),
-        spont.cancellation,
-        _residual_check("spontaneous-term-reduction", spont.force_term.value,
-                        0.0 if t1 == 0.0 or b == 0.0 else -b * emitted.value,
-                        spont.force_term.error),
+        _cancellation(force_term, drift_term),
+        _residual_check("spontaneous-term-reduction", force_term.value,
+                        0.0 if t1 == 0.0 or b == 0.0 else -b * emitted.value, force_term.error),
         _residual_check("rest-force-dual-form", fp.value, drag.value, fp.error, drag.error),
-        _frame_force("drag-composition", b, drag, _lab_force_2d(state, bath, model, spec), q),
-        _residual_check(
-            "intensity-split",
-            net.value,
-            emitted.value - absorbed.value,
-            net.error,
-            emitted.error,
-            absorbed.error,
-        ),
+        _frame_force("drag-composition", b, drag, f_2d, q),
+        _residual_check("intensity-split", net.value, emitted.value - absorbed.value,
+                        net.error, emitted.error, absorbed.error),
         _sign_check("drag-sign", drag),
         _sign_check("rest-force-sign", fp),
     )

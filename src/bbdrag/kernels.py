@@ -17,6 +17,12 @@ accumulated in ascending-interval order, single-threaded, so results
 are bitwise reproducible regardless of how callers parallelize around
 the engine.
 
+An integrand may stack k components in front of its argument's shape.
+They share the panels: one is split when any component's defect exceeds
+that component's share, and the integral converges when every component
+meets its own tolerance; value, error and truncation bound come back per
+component.  A k-less integrand is the one-component case, with floats.
+
 The double integrals over (omega, x) of the verification route apply a
 fixed _INNER_NODES-point Gauss-Legendre rule across the inner variable,
 piecewise between edges from the caller (a model's jump images), inside
@@ -107,10 +113,10 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Quadrature value with its error estimate and work diagnostics."""
+    """Quadrature value with its error estimate and work diagnostics (per component)."""
 
-    value: float
-    error: float
+    value: float | np.ndarray
+    error: float | np.ndarray
     neval: int
     panels: int
     omega_max: float | None = None
@@ -180,11 +186,11 @@ def bose_occupation(omega, temperature: float):
 
 
 def _panel_pair(f, lo, hi):
-    """Evaluate the GL pair on a batch of panels.
+    """Evaluate the GL pair on a batch of P panels.
 
-    Returns (low-order sums, high-order sums, evaluation count).  `f`
-    receives one ndarray of arbitrary shape and must return values of
-    the same shape.
+    Returns (rows, evaluation count, k-less): rows (3, k, P) holds each
+    component's high-order sums, defects |GL31 - GL15| and |high-order
+    sums|, k = 1 for a k-less integrand (integrate_1d's f).
     """
     x_lo, w_lo = _gl_nodes(_GL_LOW)
     x_hi, w_hi = _gl_nodes(_GL_HIGH)
@@ -193,13 +199,14 @@ def _panel_pair(f, lo, hi):
     nodes = np.concatenate([x_lo, x_hi])
     pts = mid[:, None] + half[:, None] * nodes[None, :]
     vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != pts.shape:
-        raise ValueError(
-            f"integrand returned shape {vals.shape}, expected {pts.shape}"
-        )
-    v_lo = (vals[:, :_GL_LOW] @ w_lo) * half
-    v_hi = (vals[:, _GL_LOW:] @ w_hi) * half
-    return v_lo, v_hi, pts.size
+    if vals.shape[-2:] != pts.shape or vals.ndim > 3:
+        raise ValueError(f"integrand returned shape {vals.shape}, expected {pts.shape}")
+    v_hi = (vals[..., _GL_LOW:] @ w_hi) * half
+    if not np.isfinite(v_hi).all():
+        raise ValueError("integrand produced non-finite panel sums")
+    defect = np.abs(v_hi - (vals[..., :_GL_LOW] @ w_lo) * half)
+    rows = np.concatenate([v_hi, defect, np.abs(v_hi)]).reshape(3, -1, len(lo))
+    return rows, pts.size, vals.ndim == 2
 
 
 def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadResult:
@@ -209,7 +216,7 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
     ----------
     f : callable
         Vectorized integrand: ndarray in, same-shape ndarray out, finite
-        on (a, b).
+        on (a, b); or k components stacked in front, shape (k, *x.shape).
     a, b : float
         Finite bounds, a < b.
     spec : QuadratureSpec
@@ -222,7 +229,8 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
     QuadResult
         value (high-order panel sum), error (sum of per-panel embedded
         defects plus the roundoff floor of the gross panel mass),
-        evaluation count, panel count.  For strongly cancelling
+        evaluation count, panel count; value and error are arrays of k
+        for k components.  For strongly cancelling
         integrals the reported error bottoms out at that roundoff
         floor even when the defect sum has passed a tighter tolerance:
         the value is then correctly rounded, and the error says so.
@@ -231,78 +239,74 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
     ------
     QuadratureConvergenceError
         If the split budget is exhausted before the reducible (pair
-        defect) estimate passes max(rel_tol * |value|, abs_tol).
+        defect) estimate of every component passes its own
+        max(rel_tol * |value|, abs_tol).
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite bounds with a < b, got {a!r}, {b!r}")
 
-    interior = sorted({float(s) for s in seeds if a < s < b})
-    edges = np.array([a, *interior, b], dtype=float)
-    lo = edges[:-1]
-    hi = edges[1:]
-    keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
+    edges = np.array([a, *sorted({float(s) for s in seeds if a < s < b}), b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
 
-    v_lo, v_hi, neval = _panel_pair(f, lo, hi)
-    if not np.all(np.isfinite(v_hi)):
-        raise ValueError("integrand produced non-finite panel sums")
+    rows, neval, kless = _panel_pair(f, lo, hi)
     splits_used = 0
 
+    def out(per_component):  # floats for a k-less integrand
+        return per_component[0] if kless else np.array(per_component)
+
     while True:
-        # Two error scales: the embedded pair defect (what subdivision can
-        # reduce) and the roundoff noise of the panel sums, _ERR_FLOOR
-        # times the gross panel mass (what it cannot).  The defect is
-        # itself built from roundoff-limited sums, so once it falls to the
-        # noise scale it measures roundoff, not discretization error:
-        # accept there even if the requested abs_tol is tighter, or a
-        # strongly cancelling integral (net ~ 0, gross large) could never
-        # terminate despite its value being correctly rounded.  Both
-        # scales join the reported error, which stays an honest bound.
-        defect = np.abs(v_hi - v_lo)
-        order = np.argsort(lo, kind="stable")
-        value = float(np.sum(v_hi[order]))
-        reducible = float(np.sum(defect[order]))
-        noise = _ERR_FLOOR * float(np.sum(np.abs(v_hi[order])))
-        err_total = reducible + noise
-        tol = max(spec.rel_tol * abs(value), spec.abs_tol)
-        target = max(tol, noise)
-        if reducible <= target:
-            return QuadResult(value, err_total, neval, len(lo))
+        # Two error scales per component: the embedded pair defect (what
+        # subdivision can reduce) and the roundoff noise of the panel
+        # sums, _ERR_FLOOR times the gross panel mass (what it cannot).
+        # The defect is itself built from roundoff-limited sums, so once
+        # it falls to the noise scale it measures roundoff, not
+        # discretization error: accept there even if the requested abs_tol
+        # is tighter, or a strongly cancelling integral (net ~ 0, gross
+        # large) could never terminate despite its value being correctly
+        # rounded.  Both scales join the reported error, which stays an
+        # honest bound.  Sums run in ascending-interval order.
+        ordered = np.take(rows, np.argsort(lo, kind="stable"), axis=-1)
+        value, reducible, gross = np.add.reduce(ordered, axis=-1).tolist()
+        noise = [_ERR_FLOOR * m for m in gross]
+        err_total = [r + n for r, n in zip(reducible, noise)]
+        tol = [max(spec.rel_tol * abs(v), spec.abs_tol) for v in value]
+        target = [max(t, n) for t, n in zip(tol, noise)]
+        if all(r <= t for r, t in zip(reducible, target)):
+            return QuadResult(out(value), out(err_total), neval, len(lo))
 
         budget = spec.max_subdivisions - splits_used
         if budget <= 0:
+            i = int(np.argmax(np.divide(reducible, target)))  # the worst component
             raise QuadratureConvergenceError(
                 f"subdivision budget {spec.max_subdivisions} exhausted: "
-                f"value {value:.6g}, reducible error estimate {reducible:.3g} > "
-                f"max(tolerance {tol:.3g}, roundoff scale {noise:.3g}) "
+                f"value {value[i]:.6g}, reducible error estimate {reducible[i]:.3g} > "
+                f"max(tolerance {tol[i]:.3g}, roundoff scale {noise[i]:.3g}) "
                 f"over {len(lo)} panels",
-                value=value,
-                error=err_total,
+                value=out(value), error=out(err_total),
             )
 
-        share = target / (2.0 * len(lo))
-        cand = np.where(defect > share)[0]
-        if cand.size == 0:
-            cand = np.array([int(np.argmax(defect))])
+        # A panel is split when any component's defect exceeds that
+        # component's share of its target.
+        defect = rows[1]
+        share = np.array(target)[:, None] / (2.0 * len(lo))
+        cand = (defect > share).any(axis=0).nonzero()[0]
         if cand.size > budget:
-            worst = np.argsort(-defect[cand], kind="stable")[:budget]
+            worst = np.argsort(-(defect[:, cand] / share).max(axis=0), kind="stable")[:budget]
             cand = cand[worst]
         mid = 0.5 * (lo[cand] + hi[cand])
         splittable = (mid > lo[cand]) & (mid < hi[cand])
         cand, mid = cand[splittable], mid[splittable]
         if cand.size == 0:
+            i = int(np.argmax(np.divide(reducible, target)))
             raise QuadratureConvergenceError(
                 "panels have collapsed to machine width without converging "
-                f"(value {value:.6g}, error estimate {err_total:.3g})",
-                value=value,
-                error=err_total,
+                f"(value {value[i]:.6g}, error estimate {err_total[i]:.3g})",
+                value=out(value), error=out(err_total),
             )
 
         new_lo = np.concatenate([lo[cand], mid])
         new_hi = np.concatenate([mid, hi[cand]])
-        nv_lo, nv_hi, extra = _panel_pair(f, new_lo, new_hi)
-        if not np.all(np.isfinite(nv_hi)):
-            raise ValueError("integrand produced non-finite panel sums")
+        new_rows, extra, _ = _panel_pair(f, new_lo, new_hi)
         neval += extra
         splits_used += cand.size
 
@@ -310,16 +314,17 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
         keep[cand] = False
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
-        v_lo = np.concatenate([v_lo[keep], nv_lo])
-        v_hi = np.concatenate([v_hi[keep], nv_hi])
+        rows = np.concatenate([rows[..., keep], new_rows], axis=-1)
 
 
-def _tail_bound(f, cut: float, spec: QuadratureSpec) -> float:
+def _tail_bound(f, cut: float, spec: QuadratureSpec):
     """Truncation error of Int_0^cut f, with cut = spec.u_max decay lengths.
 
-    _TAIL_LENGTHS * (cut / u_max) * |f(cut)|; f takes and returns ndarrays.
+    _TAIL_LENGTHS * (cut / u_max) * |f(cut)|; f takes and returns ndarrays,
+    and a vector f gets one bound per component.
     """
-    return _TAIL_LENGTHS * (cut / spec.u_max) * abs(float(f(np.array([cut]))[0]))
+    tail = _TAIL_LENGTHS * (cut / spec.u_max) * np.abs(np.asarray(f(np.array([cut])))[..., 0])
+    return tail if tail.ndim else float(tail)
 
 
 def integrate_omega_x(
@@ -333,20 +338,21 @@ def integrate_omega_x(
 
     A fixed _INNER_NODES-point Gauss-Legendre rule across x on each inner
     segment, inside adaptive quadrature over omega truncated at
-    omega_max = ``spec.u_max * decay``.
+    omega_max = ``spec.u_max * decay``.  The kernel may return k
+    components stacked in front (integrate_1d).
 
     Parameters
     ----------
     kernel : callable
         kernel(omega, x) with broadcasting: omega comes shaped (N, 1, 1)
-        against x of shape (N or 1, k, n), k segments of n nodes.
+        against x of shape (N or 1, m, n), m segments of n nodes.
     decay : float
         Length in omega over which the kernel's Wien tail decays, for
         every x in [-1, 1]; the caller knows its thermal scales.
     spec : QuadratureSpec
     inner_edges_fn : callable, optional
         Maps a flat omega array (N,) to an ascending edge array
-        (N, k + 1) spanning [-1, 1], by default [[-1, 1]]; the inner
+        (N, m + 1) spanning [-1, 1], by default [[-1, 1]]; the inner
         rule is applied on each [edge_i, edge_{i+1}] separately.  For
         jumps in x (band-edge images); zero-width segments add nothing.
     outer_seeds : iterable of float, optional
@@ -356,8 +362,9 @@ def integrate_omega_x(
     -------
     QuadResult
         error includes the _tail_bound of the omega integral at the
-        cutoff; neval counts kernel point evaluations; omega_max records
-        the cutoff.
+        cutoff; neval counts kernel point evaluations, all components at
+        once; omega_max records the cutoff.  Below _OMEGA_DOMAIN_FLOOR the
+        value and error are one scalar 0 for every component.
     """
     omega_max = spec.u_max * decay
     if omega_max < _OMEGA_DOMAIN_FLOOR:
@@ -374,7 +381,7 @@ def integrate_omega_x(
         x = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None] + half * xg
         count += flat.size * x[0].size
         vals = kernel(flat[:, None, None], x)
-        return np.sum(vals * (half * wg), axis=(1, 2)).reshape(omega.shape)
+        return np.sum(vals * (half * wg), axis=(-2, -1)).reshape(vals.shape[:-3] + omega.shape)
 
     res = integrate_1d(inner, 0.0, omega_max, spec, seeds=outer_seeds)
     error = res.error + _tail_bound(inner, omega_max, spec)

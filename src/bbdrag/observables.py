@@ -50,10 +50,9 @@ K and J1 in closed form through ln(1 - e^{-y}) and Li2(e^{-y}), and
 M1 = J0 - b K (_bath_kernel).  Each bath term is one adaptive 1D
 integral over w' with no integrate_omega_x call.  The 2D lab-frame
 Doppler quadrature (_doppler_integral, inner variable from
-_rapidity_map) is the verification route only: consistency builds the
-lab force, the net intensity, the direct rest force and the spontaneous
-terms from it, and verify_all and the trajectory monitor compare the 1D
-values with them.
+_rapidity_map) is the verification route only: verify_all takes the
+net intensity, the lab force and both spontaneous terms from one vector
+pass of it, and the trajectory monitor the net intensity alone.
 
 Each route has one helper that returns the finished Quantity:
 _doppler_integral (2D) and _integrate_thermal (1D: the bath terms,
@@ -256,43 +255,55 @@ def _jump_edges(model: PolarizabilityModel, beta: float):
     return edges_fn
 
 
-def _doppler_integral(
-    weight,
-    pref: float,
-    beta: float,
-    t1: float,
-    t2: float,
-    model: PolarizabilityModel,
-    spec: QuadratureSpec,
-) -> Quantity:
+def _doppler_integral(weight, pref, beta: float, t1: float, t2: float,
+                      model: PolarizabilityModel, spec: QuadratureSpec, spontaneous=()):
     """pref * Int dw w^4 Int dx weight(x, 1+bx) a''(w_b) [n(w,T2) - n(w_b,T1)].
 
     The one lab-frame Doppler integral behind every observable that
     samples a''(w_b), x from _rapidity_map; callers differ only in the
     angular weight and the signed prefactor.  Passing t1 = 0 keeps the
     bath term alone and t2 = 0 the (negative) particle term alone, since
-    n(., 0) is exactly 0.  The cutoff is u_max * max(T2, D T1), D =
-    sqrt((1+b)/(1-b)), since n(w_b, T1) decays over D T1 in w.  A jump of
-    a'' at w_e puts outer kinks at w_e/(gamma*(1 +/- beta)) and w_e/gamma,
-    and a'' is 0 above the last.  The seed ladder starts at the lowest
-    scale min(T2, T1/D) of the terms that do not underflow and ends at
-    the cutoff or that kink.  An exact zero comes back as +0.0.
+    n(., 0) is exactly 0.  With a tuple of k prefactors, weight returns k
+    weights and k Quantities come back from one vector pass that
+    evaluates a'' and each occupation once per node; the terms indexed
+    in `spontaneous` keep -n(w_b,T1) alone.  The cutoff is
+    u_max * max(T2, D T1), D = sqrt((1+b)/(1-b)), since n(w_b, T1)
+    decays over D T1 in w.  A jump of a'' at w_e puts outer kinks at
+    w_e/(gamma*(1 +/- beta)) and w_e/gamma, and a'' is 0 above the last.
+    The seed ladder starts at the lowest scale min(T2, T1/D) of the
+    terms that do not underflow and ends at the cutoff or that kink.  An
+    exact zero comes back as +0.0.
     """
     g = lorentz_gamma(beta)
     at = _rapidity_map(beta)
+    vector = isinstance(pref, tuple)
+    prefs = pref if vector else (pref,)
 
     def kern(om, s):
+        # Full-size arrays are dropped once used: k terms keep k rows alive.
         x, u, jac = at(s)
+        weights = weight(x, u) if vector else (weight(x, u),)
         wb = g * om * u
+        del x, u
+        om4, a = om**4, alpha_im(model, wb)
         # A zero-temperature term is skipped, not subtracted as an array of
         # zeros: bitwise the same result, one full-size array pass fewer.
+        n1 = None if t1 == 0.0 else bose_occupation(wb, t1)
+        del wb
         if t1 == 0.0:
-            occ = bose_occupation(om, t2)
+            net = bose_occupation(om, t2)
         elif t2 == 0.0:
-            occ = 0.0 - bose_occupation(wb, t1)
+            net = 0.0 - n1
         else:
-            occ = bose_occupation(om, t2) - bose_occupation(wb, t1)
-        return weight(x, u) * jac * om**4 * alpha_im(model, wb) * occ
+            net = bose_occupation(om, t2) - n1
+        particle = 0.0 - n1 if spontaneous else None
+        del n1
+        out = np.empty((len(prefs), *np.broadcast_shapes(*map(np.shape, weights), a.shape)))
+        for k, (w, row) in enumerate(zip(weights, out)):
+            np.multiply(w * jac, om4, out=row)
+            row *= a
+            row *= particle if k in spontaneous else net
+        return out if vector else out[0]
 
     blue = math.sqrt((1.0 + beta) / (1.0 - beta))
     decay = max(t2, t1 * blue)
@@ -302,7 +313,10 @@ def _doppler_integral(
     stop = min(spec.u_max * decay, max(kinks, default=math.inf))
     q = integrate_omega_x(kern, decay, spec, inner_edges_fn=_jump_edges(model, beta),
                           outer_seeds=(*kinks, *_seed_ladder(lowest, stop, model)))
-    return Quantity(pref * q.value + 0.0, abs(pref) * q.error, _diag(q, g, beta))
+    value, error = np.broadcast_to(q.value, len(prefs)), np.broadcast_to(q.error, len(prefs))
+    terms = tuple(Quantity(p * float(v) + 0.0, abs(p) * float(e), _diag(q, g, beta))
+                  for p, v, e in zip(prefs, value, error))
+    return terms if vector else terms[0]
 
 
 def _integrate_thermal(

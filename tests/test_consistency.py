@@ -141,29 +141,41 @@ def test_energy_and_frame_checks_expose_their_pieces():
         assert c.tolerance >= 10.0 * c.combined_error
 
 
-def test_intensity_split_catches_a_wrong_emitted_power(monkeypatch):
-    """The split compares the 2D net intensity with the 1D P(T1) - I2.
+@pytest.mark.parametrize("term, reading", [
+    (0, ("energy-balance", "intensity-split")),
+    (1, ("drag-composition",)),
+    (2, ("spontaneous-term-cancellation", "spontaneous-term-reduction")),
+    (3, ("spontaneous-term-cancellation",)),
+], ids=("net", "lab", "force-term", "drift-term"))
+def test_a_skewed_2d_term_fails_the_checks_that_read_it(monkeypatch, term, reading):
+    """verify_all takes four 2D terms from one Doppler pass, _doppler_terms.
 
-    Scaling the 2D net intensity by 1 + 1e-6 must fail against P(T1) - I2.
+    Scaling one of them (net I, F_x, the force term, the drift term) by
+    1 + 1e-6 must fail every check that reads it and no other, so a
+    swapped prefactor or weight between the terms shows.
     """
     import bbdrag.consistency as consistency
     from bbdrag.observables import Quantity
 
-    original = consistency._net_intensity
+    original = consistency._doppler_terms
 
     def skewed(*args, **kwargs):
-        net = original(*args, **kwargs)
-        return Quantity(net.value * (1.0 + 1e-6), net.error)
+        terms = list(original(*args, **kwargs))
+        terms[term] = Quantity(terms[term].value * (1.0 + 1e-6), terms[term].error)
+        return tuple(terms)
 
     state = ParticleState(beta=0.6, mass=1.0, temperature=3.0)
     bath = BathSpec(1.0)
     honest = verify_all(state, bath, REFERENCE_MODELS[0], SPEC)
-    assert next(c for c in honest.checks if c.name == "intensity-split").passed
-    monkeypatch.setattr(consistency, "_net_intensity", skewed)
+    assert honest.passed
+    monkeypatch.setattr(consistency, "_doppler_terms", skewed)
     report = verify_all(state, bath, REFERENCE_MODELS[0], SPEC)
-    split = next(c for c in report.checks if c.name == "intensity-split")
-    assert not split.passed
-    assert split.residual > 100.0 * split.tolerance
+    for check in report.checks:
+        if check.name in reading:
+            assert not check.passed, check.name
+            assert check.residual > 100.0 * check.tolerance, check.name
+        else:
+            assert check.passed, check.name
 
 
 def test_emitted_power_matches_the_reduced_force():

@@ -264,6 +264,61 @@ def test_quadrature_spec_validation():
     QuadratureSpec(max_subdivisions=0)  # zero refinement rounds is legal
 
 
+# ------------------------------------------------------- quadrature, vector
+
+
+PEAK = 1e-3  # half-width of the peaked component
+
+
+def _smooth_and_peaked(x):
+    """cos(3x) and a Lorentzian peak of half-width PEAK at 0.3, stacked: shape (2, *x.shape)."""
+    return np.stack([np.cos(3.0 * x), 1.0 / ((x - 0.3) ** 2 + PEAK**2)])
+
+
+def test_vector_integrand_components_meet_their_own_tolerances():
+    """Each component of a vector integral equals its scalar integral within
+    their combined error, meets its own tolerance and its closed form."""
+    r = integrate_1d(_smooth_and_peaked, 0.0, 1.0, SPEC)
+    assert r.value.shape == r.error.shape == (2,)
+    truth = (math.sin(3.0) / 3.0, (math.atan(0.7 / PEAK) + math.atan(0.3 / PEAK)) / PEAK)
+    for k, f in enumerate((lambda x: np.cos(3.0 * x), lambda x: 1.0 / ((x - 0.3) ** 2 + PEAK**2))):
+        alone = integrate_1d(f, 0.0, 1.0, SPEC)
+        assert abs(r.value[k] - alone.value) <= r.error[k] + alone.error, k
+        assert r.error[k] <= 1.01 * max(SPEC.rel_tol * abs(r.value[k]), SPEC.abs_tol), k
+        assert abs(r.value[k] - truth[k]) <= max(10.0 * r.error[k], 1e-14), k
+        # the shared panels are those the hardest component needs
+        assert r.panels >= alone.panels, k
+
+
+def test_vector_budget_exhaustion_raises():
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=2)
+    with pytest.raises(QuadratureConvergenceError, match="subdivision") as caught:
+        integrate_1d(_smooth_and_peaked, 0.0, 1.0, spec)
+    assert np.shape(caught.value.value) == np.shape(caught.value.error) == (2,)
+
+
+def test_scalar_integrand_returns_floats():
+    """A k-less integrand is the one-component case and reports floats, as before."""
+    r = integrate_1d(lambda x: np.cos(3.0 * x), 0.0, 1.0, SPEC)
+    assert type(r.value) is float and type(r.error) is float
+    q = integrate_omega_x(lambda om, x: om**3 * bose_occupation(om, 1.0) * x**2, 1.0, SPEC)
+    assert type(q.value) is float and type(q.error) is float
+
+
+def test_vector_kernel_2d_closed_forms():
+    """Two inner weights x^2 and x^4 against w^3 n(w, 1) in one 2D pass,
+    each with its own error, truncation bound included."""
+
+    def kernel(om, x):
+        radial = om**3 * bose_occupation(om, 1.0)
+        return np.stack(np.broadcast_arrays(radial * x**2, radial * x**4))
+
+    r = integrate_omega_x(kernel, 1.0, SPEC)
+    expected = (math.pi**4 / 15.0) * np.array([2.0 / 3.0, 2.0 / 5.0])
+    assert r.value == pytest.approx(expected, rel=1e-9)
+    assert np.all(np.abs(r.value - expected) <= np.maximum(10.0 * r.error, 1e-12))
+
+
 # ----------------------------------------------------------- quadrature, 2D
 
 

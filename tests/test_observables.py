@@ -26,7 +26,7 @@ from bbdrag import (
     spontaneous_term_cancellation,
     verify_all,
 )
-from bbdrag.consistency import _lab_force_2d, _net_intensity
+from bbdrag.consistency import _doppler_terms, _net_intensity
 
 from conftest import REFERENCE_MODELS, rel_diff
 
@@ -305,7 +305,7 @@ def test_diagnostics_present():
     for key in ("neval", "nodes", "panels", "omega_max", "omega_beta_max"):
         assert key in q.diagnostics
     assert q.diagnostics["neval"] == 0 and q.diagnostics["nodes"] > 0
-    q2 = _lab_force_2d(state, BathSpec(1.0), REFERENCE_MODELS[0], SPEC)
+    q2 = _doppler_terms(state, BathSpec(1.0), REFERENCE_MODELS[0], SPEC)[1]  # the 2D lab force
     for key in ("neval", "panels", "omega_max", "omega_beta_max"):
         assert key in q2.diagnostics
     g = lorentz_gamma(0.4)
@@ -315,23 +315,23 @@ def test_diagnostics_present():
 
 
 def test_2d_cutoffs_are_u_max_decay_lengths_of_each_callers_thermal_scale():
-    """omega_max = u_max * max(T2, D T1) on the lab-frame route, u_max * D T1
-    for the spontaneous force term and u_max * D T2 for the direct rest
-    force, D = sqrt((1+b)/(1-b)): the least suppressed occupation decays
-    over that length at every x."""
+    """omega_max = u_max * max(T2, D T1) on the lab-frame route, the
+    spontaneous force term included, since it shares the lab force's pass,
+    and u_max * D T2 for the direct rest force, D = sqrt((1+b)/(1-b)): the
+    least suppressed occupation decays over that length at every x."""
     t1, t2, u = 2.0, 3.0, SPEC.u_max
     model, bath = TopHat(1.0, 0.5, 1.5), BathSpec(t2)
 
     def cutoffs(beta):
         state = ParticleState(beta, 1.0, t1)
         spont = spontaneous_term_cancellation(state, bath, model, SPEC)
-        return (_lab_force_2d(state, bath, model, SPEC).diagnostics.get("omega_max"),
+        return (_doppler_terms(state, bath, model, SPEC)[1].diagnostics.get("omega_max"),
                 spont.force_term.diagnostics.get("omega_max"),
                 _net_intensity(state, bath, model, SPEC).diagnostics["omega_max"],
                 force_rest_frame_alt(state, bath, model, SPEC).diagnostics.get("omega_max"))
 
     d = math.sqrt((1.0 + 0.8) / (1.0 - 0.8))
-    expected = (u * max(t2, t1 * d), u * (t1 * d), u * max(t2, t1 * d), u * (t2 * d))
+    expected = (u * max(t2, t1 * d), u * max(t2, t1 * d), u * max(t2, t1 * d), u * (t2 * d))
     assert cutoffs(0.8) == expected
     assert expected == pytest.approx((240.0, 240.0, 240.0, 360.0), rel=1e-15)
     # at rest the forces short-circuit and carry no cutoff
