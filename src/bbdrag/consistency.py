@@ -19,16 +19,22 @@ reproduce to quadrature accuracy:
 
 Every production observable (force_lab, heating_rate, intensity,
 drag_combination, force_rest_frame) is a 1D integral over the
-rest-frame frequency.  The verification route lives here: the net
-intensity, the lab force and the two spontaneous terms (SpontaneousTerms)
-from one vector 2D Doppler pass (_doppler_terms), and the direct rest
-force from a second, so each relation checks one route against the
-other; verify_all checks the force term against -beta*P(T1) from its
-own intensity call.  Every check compares
-independent quadratures, so the acceptance threshold is tied to their
-error estimates: pass iff residual <= max(10 * RSS(error estimates),
-ABS_FLOOR), never a bare epsilon.  ABS_FLOOR = 1e-12 internal units
-absorbs exact-zero cases.
+rest-frame frequency (observables).  The verification route lives here:
+2D quadratures of the lab-frame forms that define the observables.
+Their inner variable is the rapidity shift s in [-1, 1], u = 1 + bx =
+e^(eta s)/gamma (_rapidity_map); each cuts off at u_max decay lengths
+of its slowest-decaying occupation and seeds its outer panels with the
+1D route's ladder from its lowest thermal scale.  verify_all takes the
+net intensity, the lab force and the two spontaneous terms
+(SpontaneousTerms) from one vector Doppler pass (_doppler_terms), the
+direct rest force from a second, and every 1D value from one
+evaluate_bundle, so each relation checks one route against the other;
+the force term meets -beta*P(T1) from the bundle.  The trajectory
+monitor takes the net intensity alone (_net_intensity).  Every check
+compares independent quadratures, so the acceptance threshold is tied
+to their error estimates: pass iff residual <= max(10 * RSS(error
+estimates), ABS_FLOOR), never a bare epsilon.  ABS_FLOOR = 1e-12
+internal units absorbs exact-zero cases.
 """
 
 from __future__ import annotations
@@ -37,25 +43,16 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .kernels import (QuadratureSpec, _check_beta, bose_occupation, integrate_1d,
-                      integrate_omega_x, lorentz_gamma)
-from .observables import (
-    _PREF,
-    DEFAULT_QUADRATURE,
-    BathSpec,
-    ParticleState,
-    Quantity,
-    _diag,
-    _doppler_integral,
-    _rapidity_map,
-    _seed_ladder,
-    _zero,
-    drag_combination,
-    force_lab,
-    heating_rate,
-    intensity,
-)
-from .observables import force_rest_frame  # noqa: F401 -- perfbench's tracer patches it by name
+import numpy as np
+
+from . import observables
+from .kernels import (QuadResult, QuadratureSpec, _OMEGA_DOMAIN_FLOOR, _check_beta,
+                      bose_occupation, integrate_1d, integrate_omega_x, lorentz_gamma)
+from .observables import (_PREF, DEFAULT_QUADRATURE, BathSpec, ParticleState, Quantity,
+                          _seed_ladder, _zero)
+# perfbench's tracer patches these by name.
+from .observables import (drag_combination, force_lab, force_rest_frame,  # noqa: F401
+                          heating_rate, intensity)
 from .polarizability import PolarizabilityModel, alpha_im, breakpoints
 
 ABS_FLOOR = 1e-12
@@ -117,13 +114,120 @@ def _frame_force(name: str, b: float, lhs: Quantity, f: Quantity, q: Quantity) -
     )
 
 
+def _diag(q: QuadResult, gamma: float, beta: float) -> dict:
+    return {"neval": q.neval, "panels": q.panels, "omega_max": q.omega_max,
+            "omega_beta_max": gamma * (1.0 + beta) * q.omega_max}
+
+
+def _rapidity_map(beta: float):
+    """at(s) -> (x, u = 1 + beta x, dx/ds) for the 2D route's inner variable s in [-1, 1].
+
+    u = e^(eta s)/cosh eta with eta = artanh beta, so w_b = gamma w u
+    spreads its e-folds evenly over s; x = (expm1(eta s) - 2 sinh^2(eta/2))
+    / sinh eta is exact to rounding, and 1 + beta x is never formed.
+    """
+    eta = math.atanh(beta)
+    if eta == 0.0:
+        return lambda s: (s, 1.0, 1.0)
+    sh, g, lift = math.sinh(eta), math.cosh(eta), 2.0 * math.sinh(0.5 * eta) ** 2
+
+    def at(s):
+        e = np.exp(eta * s)
+        return (np.expm1(eta * s) - lift) / sh, e / g, (eta / sh) * e
+
+    return at
+
+
+def _jump_edges(model: PolarizabilityModel, beta: float):
+    """Inner-edge function at the jumps of a''(w_b): s*(w) = ln(w_e/w)/eta.
+
+    None without jumps, and at beta = 0, where w_b = w: the jumps are then
+    outer seeds only.
+    """
+    breaks = breakpoints(model)
+    if not breaks or beta == 0.0:
+        return None
+    eta = math.atanh(beta)
+
+    def edges_fn(omega):
+        # omega -> 0 sends the raw edge to inf before the clip catches it
+        with np.errstate(over="ignore", divide="ignore"):
+            cols = [np.clip(np.log(w_e / omega) / eta, -1.0, 1.0) for w_e in breaks]
+        edges = np.stack([np.full(omega.shape, -1.0), *cols, np.full(omega.shape, 1.0)], axis=-1)
+        edges.sort(axis=-1)
+        return edges
+
+    return edges_fn
+
+
+def _doppler_integral(weight, prefs: tuple, beta: float, t1: float, t2: float,
+                      model: PolarizabilityModel, spec: QuadratureSpec, spontaneous=()):
+    """prefs[k] * Int dw w^4 Int dx weight(x, 1+bx)[k] a''(w_b) [n(w,T2) - n(w_b,T1)].
+
+    The one lab-frame Doppler integral behind every 2D term, x from
+    _rapidity_map; callers differ only in the angular weights and the
+    signed prefactors.  weight returns one weight per prefactor, and the
+    tuple of Quantities comes back from one vector pass that evaluates
+    a'' and each occupation once per node; the terms indexed in
+    `spontaneous` keep -n(w_b,T1) alone.  Passing t1 = 0 keeps the bath
+    term alone and t2 = 0 the (negative) particle term alone, since
+    n(., 0) is exactly 0.  The cutoff is u_max * max(T2, D T1),
+    D = sqrt((1+b)/(1-b)), since n(w_b, T1) decays over D T1 in w.  A jump of a'' at w_e puts outer kinks at
+    w_e/(gamma*(1 +/- beta)) and w_e/gamma, and a'' is 0 above the last.
+    The seed ladder starts at the lowest scale min(T2, T1/D) of the
+    terms that do not underflow and ends at the cutoff or that kink.  An
+    exact zero comes back as +0.0.
+    """
+    g = lorentz_gamma(beta)
+    at = _rapidity_map(beta)
+
+    def kern(om, s):
+        # Full-size arrays are dropped once used: k terms keep k rows alive.
+        x, u, jac = at(s)
+        weights = weight(x, u)
+        wb = g * om * u
+        del x, u
+        om4, a = om**4, alpha_im(model, wb)
+        # A zero-temperature term is skipped, not subtracted as an array of
+        # zeros: bitwise the same result, one full-size array pass fewer.
+        n1 = None if t1 == 0.0 else bose_occupation(wb, t1)
+        del wb
+        if t1 == 0.0:
+            net = bose_occupation(om, t2)
+        elif t2 == 0.0:
+            net = 0.0 - n1
+        else:
+            net = bose_occupation(om, t2) - n1
+        particle = 0.0 - n1 if spontaneous else None
+        del n1
+        out = np.empty((len(prefs), *np.broadcast_shapes(*map(np.shape, weights), a.shape)))
+        for k, (w, row) in enumerate(zip(weights, out)):
+            np.multiply(w * jac, om4, out=row)
+            row *= a
+            row *= particle if k in spontaneous else net
+        return out
+
+    blue = math.sqrt((1.0 + beta) / (1.0 - beta))
+    decay = max(t2, t1 * blue)
+    lowest = min((t for t, d in ((t2, t2), (t1 / blue, t1 * blue))
+                  if spec.u_max * d >= _OMEGA_DOMAIN_FLOOR), default=math.inf)
+    kinks = [w_e / (g * f) for w_e in breakpoints(model) for f in (1.0 + beta, 1.0, 1.0 - beta)]
+    stop = min(spec.u_max * decay, max(kinks, default=math.inf))
+    q = integrate_omega_x(kern, decay, spec, inner_edges_fn=_jump_edges(model, beta),
+                          outer_seeds=(*kinks, *_seed_ladder(lowest, stop, model)))
+    value, error = np.broadcast_to(q.value, len(prefs)), np.broadcast_to(q.error, len(prefs))
+    return tuple(Quantity(p * float(v) + 0.0, abs(p) * float(e), _diag(q, g, beta))
+                 for p, v, e in zip(prefs, value, error))
+
+
 def _net_intensity(
     state: ParticleState, bath: BathSpec, model: PolarizabilityModel, spec: QuadratureSpec
 ) -> Quantity:
     """Net radiated power I = I1 - I2 by one lab-frame Doppler quadrature (the monitor's)."""
     # The shared integral is absorbed minus emitted, so I is its negation.
-    return _doppler_integral(lambda x, u: u * u, -_PREF * lorentz_gamma(state.beta), state.beta,
-                             state.temperature, bath.temperature, model, spec)
+    (net,) = _doppler_integral(lambda x, u: (u * u,), (-_PREF * lorentz_gamma(state.beta),),
+                               state.beta, state.temperature, bath.temperature, model, spec)
+    return net
 
 
 def _doppler_terms(
@@ -258,10 +362,10 @@ def verify_all(
     the drag and the direct rest force.
     """
     b, t1 = state.beta, state.temperature
-    f = force_lab(state, bath, model, spec)
-    q = heating_rate(state, bath, model, spec)
-    _, emitted, absorbed = intensity(state, bath, model, spec)
-    drag = drag_combination(state, bath, model, spec)
+    # Read through its module, where perfbench's tracer wraps it.
+    bundle = observables.evaluate_bundle(state, bath, model, spec)
+    f, q, drag = bundle.force_lab, bundle.heating_rate, bundle.force_rest_frame
+    emitted, absorbed = bundle.intensity_emitted, bundle.intensity_absorbed
     net, f_2d, force_term, drift_term = _doppler_terms(state, bath, model, spec)
     fp = force_rest_frame_alt(state, bath, model, spec)
 

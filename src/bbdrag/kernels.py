@@ -23,8 +23,9 @@ that component's share, and the integral converges when every component
 meets its own tolerance; value, error and truncation bound come back per
 component.  A k-less integrand is the one-component case, with floats.
 
-The double integrals over (omega, x) of the verification route apply a
-fixed _INNER_NODES-point Gauss-Legendre rule across the inner variable,
+integrate_omega_x serves the verification route (the consistency
+module) alone: its double integrals over (omega, x) apply a fixed
+_INNER_NODES-point Gauss-Legendre rule across the inner variable,
 piecewise between edges from the caller (a model's jump images), inside
 the adaptive omega integral; the reported error has no term for it.
 """
@@ -73,7 +74,11 @@ _TAIL_LENGTHS = 2.0
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """Adaptive quadrature failed numerically.
+
+    Its subdivision budget ran out, or the integrand produced non-finite
+    panel sums (such as inf * 0 where w^4 overflows and a'' underflows).
+    """
 
     def __init__(self, message: str, value: float = math.nan, error: float = math.nan):
         super().__init__(message)
@@ -203,7 +208,7 @@ def _panel_pair(f, lo, hi):
         raise ValueError(f"integrand returned shape {vals.shape}, expected {pts.shape}")
     v_hi = (vals[..., _GL_LOW:] @ w_hi) * half
     if not np.isfinite(v_hi).all():
-        raise ValueError("integrand produced non-finite panel sums")
+        raise QuadratureConvergenceError("integrand produced non-finite panel sums")
     defect = np.abs(v_hi - (vals[..., :_GL_LOW] @ w_lo) * half)
     rows = np.concatenate([v_hi, defect, np.abs(v_hi)]).reshape(3, -1, len(lo))
     return rows, pts.size, vals.ndim == 2
@@ -240,7 +245,7 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
     QuadratureConvergenceError
         If the split budget is exhausted before the reducible (pair
         defect) estimate of every component passes its own
-        max(rel_tol * |value|, abs_tol).
+        max(rel_tol * |value|, abs_tol), or if a panel sum is not finite.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite bounds with a < b, got {a!r}, {b!r}")

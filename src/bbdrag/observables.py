@@ -48,27 +48,23 @@ u = 1 + bx and W[J] = Int dw' w'^4 a''(w') J(c):
 
 K and J1 in closed form through ln(1 - e^{-y}) and Li2(e^{-y}), and
 M1 = J0 - b K (_bath_kernel).  Each bath term is one adaptive 1D
-integral over w' with no integrate_omega_x call.  The 2D lab-frame
-Doppler quadrature (_doppler_integral, inner variable from
-_rapidity_map) is the verification route only: verify_all takes the
-net intensity, the lab force and both spontaneous terms from one vector
-pass of it, and the trajectory monitor the net intensity alone.
+integral over w' with no integrate_omega_x call; the 2D lab-frame forms
+above are the verification route, in the consistency module.
 
-Each route has one helper that returns the finished Quantity:
-_doppler_integral (2D) and _integrate_thermal (1D: the bath terms,
-P(T1) and the low-speed friction force_rest_frame_nr).  Each applies
-the signed prefactor, returns an exact +0.0 where the integral
-underflows, adds the truncation bound at the cutoff to the error,
-builds the diagnostics and seeds its panels with _seed_ladder.
-evaluate_bundle evaluates P(T1) and I2 once and composes every member
-from them (_force_lab, _heating_rate, _intensity), bitwise equal to the
-standalone observables.
+One helper, _integrate_thermal, returns every finished Quantity of this
+route (the bath terms, P(T1) and the low-speed friction
+force_rest_frame_nr): it applies the signed prefactor, returns an exact
++0.0 where the integral underflows, adds the truncation bound at the
+cutoff to the error, builds the diagnostics and seeds its panels with
+_seed_ladder.  evaluate_bundle evaluates P(T1) and I2 once and
+composes every member from them (_force_lab, _heating_rate,
+_intensity), bitwise equal to the standalone observables.
 
 Every observable returns a Quantity carrying the value, a conservative
 error estimate, and quadrature diagnostics, including the largest
 Doppler argument the model can be sampled at ("omega_beta_max").
-"neval" counts integrate_omega_x kernel evaluations (0 on the 1D
-route, which reports its node count as "nodes").
+"neval" counts integrate_omega_x kernel evaluations, 0 on this route,
+which reports its node count as "nodes".
 """
 
 from __future__ import annotations
@@ -80,7 +76,6 @@ import numpy as np
 
 from .kernels import (
     BETA_MAX,
-    QuadResult,
     QuadratureSpec,
     _OMEGA_DOMAIN_FLOOR,
     _gl_nodes,
@@ -88,9 +83,9 @@ from .kernels import (
     _tail_bound,
     bose_occupation,
     integrate_1d,
-    integrate_omega_x,
     lorentz_gamma,
 )
+from .kernels import integrate_omega_x  # noqa: F401 -- perfbench's tracer patches it by name
 from .polarizability import PolarizabilityModel, alpha_im, breakpoints, feature_frequency
 
 _PREF = 2.0 / math.pi
@@ -195,30 +190,6 @@ def _zero(reason: str) -> Quantity:
     return Quantity(0.0, 0.0, {"short_circuit": reason, "neval": 0, "nodes": 0, "panels": 0})
 
 
-def _diag(q: QuadResult, gamma: float, beta: float) -> dict:
-    return {"neval": q.neval, "panels": q.panels, "omega_max": q.omega_max,
-            "omega_beta_max": gamma * (1.0 + beta) * q.omega_max}
-
-
-def _rapidity_map(beta: float):
-    """at(s) -> (x, u = 1 + beta x, dx/ds) for the 2D route's inner variable s in [-1, 1].
-
-    u = e^(eta s)/cosh eta with eta = artanh beta, so w_b = gamma w u
-    spreads its e-folds evenly over s; x = (expm1(eta s) - 2 sinh^2(eta/2))
-    / sinh eta is exact to rounding, and 1 + beta x is never formed.
-    """
-    eta = math.atanh(beta)
-    if eta == 0.0:
-        return lambda s: (s, 1.0, 1.0)
-    sh, g, lift = math.sinh(eta), math.cosh(eta), 2.0 * math.sinh(0.5 * eta) ** 2
-
-    def at(s):
-        e = np.exp(eta * s)
-        return (np.expm1(eta * s) - lift) / sh, e / g, (eta / sh) * e
-
-    return at
-
-
 def _seed_ladder(lowest: float, stop: float, model: PolarizabilityModel) -> list[float]:
     """Panel edges start * 2^k below stop, start = min(lowest, feature frequency).
 
@@ -231,92 +202,6 @@ def _seed_ladder(lowest: float, stop: float, model: PolarizabilityModel) -> list
         seeds.append(start)
         start *= 2.0
     return seeds
-
-
-def _jump_edges(model: PolarizabilityModel, beta: float):
-    """Inner-edge function at the jumps of a''(w_b): s*(w) = ln(w_e/w)/eta.
-
-    None without jumps, and at beta = 0, where w_b = w: the jumps are then
-    outer seeds only.
-    """
-    breaks = breakpoints(model)
-    if not breaks or beta == 0.0:
-        return None
-    eta = math.atanh(beta)
-
-    def edges_fn(omega):
-        # omega -> 0 sends the raw edge to inf before the clip catches it
-        with np.errstate(over="ignore", divide="ignore"):
-            cols = [np.clip(np.log(w_e / omega) / eta, -1.0, 1.0) for w_e in breaks]
-        edges = np.stack([np.full(omega.shape, -1.0), *cols, np.full(omega.shape, 1.0)], axis=-1)
-        edges.sort(axis=-1)
-        return edges
-
-    return edges_fn
-
-
-def _doppler_integral(weight, pref, beta: float, t1: float, t2: float,
-                      model: PolarizabilityModel, spec: QuadratureSpec, spontaneous=()):
-    """pref * Int dw w^4 Int dx weight(x, 1+bx) a''(w_b) [n(w,T2) - n(w_b,T1)].
-
-    The one lab-frame Doppler integral behind every observable that
-    samples a''(w_b), x from _rapidity_map; callers differ only in the
-    angular weight and the signed prefactor.  Passing t1 = 0 keeps the
-    bath term alone and t2 = 0 the (negative) particle term alone, since
-    n(., 0) is exactly 0.  With a tuple of k prefactors, weight returns k
-    weights and k Quantities come back from one vector pass that
-    evaluates a'' and each occupation once per node; the terms indexed
-    in `spontaneous` keep -n(w_b,T1) alone.  The cutoff is
-    u_max * max(T2, D T1), D = sqrt((1+b)/(1-b)), since n(w_b, T1)
-    decays over D T1 in w.  A jump of a'' at w_e puts outer kinks at
-    w_e/(gamma*(1 +/- beta)) and w_e/gamma, and a'' is 0 above the last.
-    The seed ladder starts at the lowest scale min(T2, T1/D) of the
-    terms that do not underflow and ends at the cutoff or that kink.  An
-    exact zero comes back as +0.0.
-    """
-    g = lorentz_gamma(beta)
-    at = _rapidity_map(beta)
-    vector = isinstance(pref, tuple)
-    prefs = pref if vector else (pref,)
-
-    def kern(om, s):
-        # Full-size arrays are dropped once used: k terms keep k rows alive.
-        x, u, jac = at(s)
-        weights = weight(x, u) if vector else (weight(x, u),)
-        wb = g * om * u
-        del x, u
-        om4, a = om**4, alpha_im(model, wb)
-        # A zero-temperature term is skipped, not subtracted as an array of
-        # zeros: bitwise the same result, one full-size array pass fewer.
-        n1 = None if t1 == 0.0 else bose_occupation(wb, t1)
-        del wb
-        if t1 == 0.0:
-            net = bose_occupation(om, t2)
-        elif t2 == 0.0:
-            net = 0.0 - n1
-        else:
-            net = bose_occupation(om, t2) - n1
-        particle = 0.0 - n1 if spontaneous else None
-        del n1
-        out = np.empty((len(prefs), *np.broadcast_shapes(*map(np.shape, weights), a.shape)))
-        for k, (w, row) in enumerate(zip(weights, out)):
-            np.multiply(w * jac, om4, out=row)
-            row *= a
-            row *= particle if k in spontaneous else net
-        return out if vector else out[0]
-
-    blue = math.sqrt((1.0 + beta) / (1.0 - beta))
-    decay = max(t2, t1 * blue)
-    lowest = min((t for t, d in ((t2, t2), (t1 / blue, t1 * blue))
-                  if spec.u_max * d >= _OMEGA_DOMAIN_FLOOR), default=math.inf)
-    kinks = [w_e / (g * f) for w_e in breakpoints(model) for f in (1.0 + beta, 1.0, 1.0 - beta)]
-    stop = min(spec.u_max * decay, max(kinks, default=math.inf))
-    q = integrate_omega_x(kern, decay, spec, inner_edges_fn=_jump_edges(model, beta),
-                          outer_seeds=(*kinks, *_seed_ladder(lowest, stop, model)))
-    value, error = np.broadcast_to(q.value, len(prefs)), np.broadcast_to(q.error, len(prefs))
-    terms = tuple(Quantity(p * float(v) + 0.0, abs(p) * float(e), _diag(q, g, beta))
-                  for p, v, e in zip(prefs, value, error))
-    return terms if vector else terms[0]
 
 
 def _integrate_thermal(

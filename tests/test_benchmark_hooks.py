@@ -18,6 +18,7 @@ from pathlib import Path
 import bbdrag.cli as cli
 import bbdrag.consistency as consistency
 import bbdrag.dynamics as dynamics
+import bbdrag.observables as observables
 from bbdrag import (BathSpec, EvolveConfig, LorentzOscillator, MaterialThermo, ParticleState,
                     TopHat)
 
@@ -25,9 +26,11 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bbdrag"
 
 # Imported only so that the tracer can patch them by name (# noqa: F401).
-TRACER_ONLY_IMPORTS = {"cli.ThreadPoolExecutor", "consistency.force_rest_frame",
+TRACER_ONLY_IMPORTS = {"cli.ThreadPoolExecutor", "consistency.drag_combination",
+                       "consistency.force_lab", "consistency.force_rest_frame",
+                       "consistency.heating_rate", "consistency.intensity",
                        "dynamics.alpha_im", "dynamics.bose_occupation",
-                       "dynamics.integrate_omega_x"}
+                       "dynamics.integrate_omega_x", "observables.integrate_omega_x"}
 
 PATCHED = ("run", "verify_all", "equilibrium_temperature", "ThreadPoolExecutor",
            "_SWEEP_OBSERVABLES", "force_lab", "heating_rate", "intensity",
@@ -122,11 +125,35 @@ def test_tracer_records_the_verification_route_and_uninstalls(monkeypatch):
 
     names = [sp.name for sp in spans if under_verify(sp)]
     assert "observables.force_rest_frame_alt" in names
+    # Every 1D value comes from one bundle, none from a standalone observable.
+    assert names.count("observables.evaluate_bundle") == 1
+    assert not {"observables.force_lab", "observables.heating_rate",
+                "observables.intensity"} & set(names)
     # One vector pass for the net intensity, the lab force and both spontaneous
     # terms, and one for the direct rest force.
     assert names.count("kernels.integrate_omega_x") == 2
     assert names.count("observables.drag_combination") == 1
     assert {name: getattr(consistency, name) for name in CONSISTENCY_PATCHED} == before
+
+
+def test_the_tracer_patches_every_tracer_only_import_and_restores_it(monkeypatch):
+    """A name on TRACER_ONLY_IMPORTS that the tracer does not patch is a dead import."""
+    modules = {"cli": cli, "consistency": consistency, "dynamics": dynamics,
+               "observables": observables}
+
+    def lookup():
+        return {entry: getattr(modules[entry.split(".")[0]], entry.split(".")[1])
+                for entry in TRACER_ONLY_IMPORTS}
+
+    before = lookup()
+    tracer = _load_tracer(monkeypatch)
+    tracer.install()
+    try:
+        patched = lookup()
+    finally:
+        tracer.uninstall()
+    assert sorted(entry for entry in before if patched[entry] is before[entry]) == []
+    assert lookup() == before
 
 
 def _unused_imports(path: Path) -> set[str]:

@@ -630,6 +630,20 @@ def test_unwritable_output_target_exits_1_without_a_traceback(tmp_path, command)
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("t1", ["1e80", "1e300"])
+def test_nonfinite_integrand_exits_2_without_a_traceback(t1):
+    """Far above the default Ohmic spectrum w^4 overflows where a'' has
+    underflowed to 0: a numerical failure of valid input, not an input error.
+    A subprocess, since pytest would raise the overflow RuntimeWarning."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbdrag.cli", "heat", "--beta", "0.3", "--t1", t1, "--t2", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "numerical failure" in proc.stderr and "non-finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_over_temperature_warns_for_the_hottest_grid_point(tmp_path, capsys):
     """The point-dipole size check covers the swept temperatures, not only the base ones."""
     args = ["sweep", "--observable", "heat", "--beta", "0.3", "--output", "-",

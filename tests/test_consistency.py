@@ -139,6 +139,11 @@ def test_energy_and_frame_checks_expose_their_pieces():
         assert c.passed
         assert c.residual == abs(c.lhs - c.rhs)
         assert c.tolerance >= 10.0 * c.combined_error
+    # verify reads exactly the values the standalone observables print.
+    _, emitted, absorbed = intensity(state, BathSpec(2.0), REFERENCE_MODELS[1], SPEC)
+    assert (checks["rest-force-dual-form"].rhs, checks["intensity-split"].rhs) == (
+        drag_combination(state, BathSpec(2.0), REFERENCE_MODELS[1], SPEC).value,
+        emitted.value - absorbed.value)
 
 
 @pytest.mark.parametrize("term, reading", [

@@ -31,8 +31,9 @@ from bbdrag import (
     verify_all,
 )
 from bbdrag import dynamics
+from bbdrag.consistency import _doppler_integral
 from bbdrag.dynamics import _net_intensity
-from bbdrag.observables import Quantity, _doppler_integral
+from bbdrag.observables import Quantity
 
 from conftest import REFERENCE_MODELS
 
@@ -125,7 +126,8 @@ def test_equilibrium_zeroes_the_2d_doppler_heating_rate():
     for model, beta in itertools.product(REFERENCE_MODELS, (0.01, 0.3, 0.7, 0.9)):
         t_eq = equilibrium_temperature(beta, BATH, model, SPEC, rel_tol=1e-10)
         pref = 2.0 * lorentz_gamma(beta) / math.pi
-        q = _doppler_integral(lambda x, u: u**3, pref, beta, t_eq, BATH.temperature, model, SPEC)
+        (q,) = _doppler_integral(lambda x, u: (u**3,), (pref,), beta, t_eq, BATH.temperature,
+                                 model, SPEC)
         scale = abs(heating_rate(ParticleState(beta, 1.0, 0.0), BATH, model, SPEC).value)
         assert abs(q.value) <= max(1e-8 * scale, 10.0 * q.error), (model, beta)
 

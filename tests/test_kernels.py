@@ -241,7 +241,7 @@ def test_cancelling_integral_converges_with_roundoff_limited_error():
 
 def test_nonfinite_integrand_reported():
     with np.errstate(divide="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(QuadratureConvergenceError, match="non-finite"):
             integrate_1d(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, SPEC)
 
 

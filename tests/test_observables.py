@@ -54,14 +54,14 @@ def test_state_validation():
 # -------------------------------------------------------------- one pass
 
 
-@pytest.mark.parametrize("t1, bundle_integrals, verify_integrals", [(0.5, 5, 8), (0.0, 4, 5)])
+@pytest.mark.parametrize("t1, bundle_integrals, verify_integrals", [(0.5, 5, 5), (0.0, 4, 4)])
 def test_bundle_and_verify_evaluate_each_rest_frame_integral_once(
     monkeypatch, t1, bundle_integrals, verify_integrals
 ):
     """The bundle evaluates P(T1), I2, A, K and the drag once each (P(T1) is
-    an exact 0 without an integral at T1 = 0); verify_all adds I2 and P(T1)
-    again through force_lab and heating_rate, and none in the spontaneous
-    terms.  Each bundle member is the standalone observable, value and error."""
+    an exact 0 without an integral at T1 = 0); verify_all takes every 1D
+    value from one bundle and adds none.  Each bundle member is the
+    standalone observable, value and error."""
     import bbdrag.observables as observables
 
     calls = []
