@@ -47,18 +47,24 @@ u = 1 + bx and W[J] = Int dw' w'^4 a''(w') J(c):
   J1(c) = Int dx (x+b) u^-3 n(c/u) = K + b M1,
 
 K and J1 in closed form through ln(1 - e^{-y}) and Li2(e^{-y}), and
-M1 = J0 - b K (_bath_kernel).  Each bath term is one adaptive 1D
-integral over w' with no integrate_omega_x call; the 2D lab-frame forms
-above are the verification route, in the consistency module.
+M1 = J0 - b K.  The four share their occupations (in closed form, the
+logarithms and Li2), so _bath_kernel stacks them and one vector
+integral over w' (_bath_terms) gives every bath term: with P(T1), two
+1D integrals per point.  The 2D lab-frame forms above are the
+verification route, in consistency.  Li2 is summed by its series in
+e^{-y} above y = ln 4 and its Bernoulli series in y below (Lewin 1981),
+without scipy.
 
-One helper, _integrate_thermal, returns every finished Quantity of this
-route (the bath terms, P(T1) and the low-speed friction
-force_rest_frame_nr): it applies the signed prefactor, returns an exact
-+0.0 where the integral underflows, adds the truncation bound at the
-cutoff to the error, builds the diagnostics and seeds its panels with
-_seed_ladder.  evaluate_bundle evaluates P(T1) and I2 once and
-composes every member from them (_force_lab, _heating_rate,
-_intensity), bitwise equal to the standalone observables.
+_bath_terms memoizes its last call: evolve's right-hand side asks for
+drag_combination and then heating_rate at one state, and the two share
+one pass.  Memoized Quantities are shared objects, as is the
+diagnostics dict of one pass; no code mutates a returned diagnostics
+dict.  evaluate_bundle composes every member from P(T1) and one pass
+(_force_lab, _heating_rate, _intensity, _drag), bitwise equal to the
+standalone observables, memo or not.  _integrate_thermal finishes every
+Quantity of this route (the bath terms, P(T1), force_rest_frame_nr):
+signed prefactors, an exact +0.0 where the integral underflows, the
+truncation bound, the diagnostics and the _seed_ladder panels.
 
 Every observable returns a Quantity carrying the value, a conservative
 error estimate, and quadrature diagnostics, including the largest
@@ -71,20 +77,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .kernels import (
-    BETA_MAX,
-    QuadratureSpec,
-    _OMEGA_DOMAIN_FLOOR,
-    _gl_nodes,
-    _occupation,
-    _tail_bound,
-    bose_occupation,
-    integrate_1d,
-    lorentz_gamma,
-)
+from .kernels import (BETA_MAX, QuadratureSpec, _OMEGA_DOMAIN_FLOOR, _gl_nodes, _occupation,
+                      _tail_bound, bose_occupation, integrate_1d, lorentz_gamma)
 from .kernels import integrate_omega_x  # noqa: F401 -- perfbench's tracer patches it by name
 from .polarizability import PolarizabilityModel, alpha_im, breakpoints, feature_frequency
 
@@ -122,11 +120,19 @@ _ABSORB_ROUNDING = 1.2e-14
 _FORCE_ROUNDING = 8.0e-14
 
 # Bernoulli numbers B_2, B_4, ..., B_22 of n(y) = 1/y - 1/2 + sum
-# B_2m y^(2m-1)/(2m)!, which converges for y < 2 pi; used for y <= 1.
+# B_2m y^(2m-1)/(2m)!, which converges for y < 2 pi (used for y <= 1), and
+# the coefficients B_2m/(2m)! of that series.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138)
-# Li2(t) = sum t^k / k^2 to this order for t <= 1/4: the tail is < 1e-20 t.
+_N_SERIES = np.array([b2m / math.factorial(2 * m) for m, b2m in enumerate(_BERNOULLI, 1)])
+# The coefficients of Li2(e^-y) = sum t^k / k^2 in t = e^-y, to this order
+# for t <= 1/4 (the tail is < 1e-20 t), and for y <= ln 4 of pi^2/6 - y +
+# y ln y - y^2/4 + sum B_2m y^(2m+1)/(2m (2m+1)!), convergent for y < 2 pi
+# (Lewin, Polylogarithms and Associated Functions, 1981).
 _LI2_TERMS = 30
+_LI2_POWER = 1.0 / np.arange(1, _LI2_TERMS + 1) ** 2
+_LI2_BERNOULLI = np.array([b2m / (2 * m * math.factorial(2 * m + 1))
+                           for m, b2m in enumerate(_BERNOULLI, 1)])
 
 
 @dataclass(frozen=True)
@@ -204,33 +210,29 @@ def _seed_ladder(lowest: float, stop: float, model: PolarizabilityModel) -> list
     return seeds
 
 
-def _integrate_thermal(
-    integrand,
-    pref: float,
-    lowest: float,
-    decay: float,
-    model: PolarizabilityModel,
-    spec: QuadratureSpec,
-) -> Quantity:
-    """pref * Int_0^cut integrand(w) dw, cut = u_max * decay, as a Quantity.
+def _integrate_thermal(integrand, prefs: tuple, lowest: float, decay: float,
+                       model: PolarizabilityModel, spec: QuadratureSpec) -> tuple[Quantity, ...]:
+    """prefs[k] * Int_0^cut integrand(w)[k] dw, cut = u_max * decay, as Quantities.
 
     `decay` is the length over which the integrand's Wien tail decays and
-    `lowest` its lowest thermal scale.  An exact 0 when the cutoff lies
-    below _OMEGA_DOMAIN_FLOOR (a zero or underflowing temperature).
-    Panel edges are the model's breakpoints and the _seed_ladder from
-    `lowest` up to the cutoff.  The error includes the truncation bound
+    `lowest` its lowest thermal scale; the integrand stacks one component
+    per prefactor in front (integrate_1d), none for a 1-tuple.  Exact 0s
+    when the cutoff lies below _OMEGA_DOMAIN_FLOOR (a zero or underflowing
+    temperature).  Panel edges are the model's breakpoints and the
+    _seed_ladder from `lowest` up to the cutoff; the errors include
     kernels._tail_bound.  "neval" counts integrate_omega_x kernel
-    evaluations, none on this route; "nodes" counts the 1D integrand's.
+    evaluations, none here; "nodes" counts the 1D integrand's.
     """
     cut = spec.u_max * decay
     if cut < _OMEGA_DOMAIN_FLOOR:
-        return _zero("no photons: the temperature is 0 or its domain underflows")
+        return (_zero("no photons: the temperature is 0 or its domain underflows"),) * len(prefs)
     seeds = [*breakpoints(model), *_seed_ladder(lowest, cut, model)]
     q = integrate_1d(integrand, 0.0, cut, spec, seeds=seeds)
     error = q.error + _tail_bound(integrand, cut, spec)
-    return Quantity(pref * q.value + 0.0, abs(pref) * error,
-                    {"neval": 0, "nodes": q.neval, "panels": q.panels,
-                     "omega_max": cut, "omega_beta_max": cut})
+    diag = {"neval": 0, "nodes": q.neval, "panels": q.panels,
+            "omega_max": cut, "omega_beta_max": cut}
+    return tuple(Quantity(p * float(v) + 0.0, abs(p) * float(e), diag)
+                 for p, v, e in zip(prefs, np.atleast_1d(q.value), np.atleast_1d(error)))
 
 
 def _emitted_power(t1: float, model: PolarizabilityModel, spec: QuadratureSpec) -> Quantity:
@@ -243,7 +245,8 @@ def _emitted_power(t1: float, model: PolarizabilityModel, spec: QuadratureSpec) 
     def integrand(om):
         return om**4 * alpha_im(model, om) * bose_occupation(om, t1)
 
-    return _integrate_thermal(integrand, 4.0 / math.pi, t1, t1, model, spec)
+    (power,) = _integrate_thermal(integrand, (4.0 / math.pi,), t1, t1, model, spec)
+    return power
 
 
 def _log1m_exp(y: np.ndarray) -> np.ndarray:
@@ -254,61 +257,66 @@ def _log1m_exp(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _li2_exp(y: np.ndarray) -> np.ndarray:
-    """Li2(e^-y) for y > 0: its power series for e^-y <= 1/4, else scipy's spence.
-
-    spence(z) = Li2(1 - z); for small e^-y the rounding of 1 - e^-y
-    would cost the relative accuracy that the series keeps.
-    """
-    from scipy.special import spence
-
-    out = np.empty_like(y)
-    big = y > math.log(4.0)
-    t = np.exp(-y[big])
-    acc = np.zeros_like(t)
-    for k in range(_LI2_TERMS, 0, -1):
-        acc = t * (1.0 / (k * k) + acc)
-    out[big] = acc
-    out[~big] = spence(-np.expm1(-y[~big]))
+def _powers(t: np.ndarray, n: int) -> np.ndarray:
+    """t, t^2, ..., t^n stacked in front of t's shape, by repeated doubling."""
+    out = np.empty((n, *t.shape))
+    out[0], k = t, 1
+    while k < n:  # t^(k+1) ... t^2k = (t ... t^k) * t^k
+        out[k:2 * k] = out[:min(k, n - k)] * out[k - 1]
+        k *= 2
     return out
 
 
-def _odd_series(c: np.ndarray, beta: float, g2: float, s: float) -> np.ndarray:
-    """Int_a^b (s c - y) n(y) dy of _bath_kernel, as a series in c for b <= 1.
+def _li2_exp(y: np.ndarray) -> np.ndarray:
+    """Li2(e^-y) for y > 0: its series in e^-y for y > ln 4, else its series in y.
 
-    From the Bernoulli series of n(y).  Its c^2 term beta g2 (g2 - s) c^2
-    comes from the -1/2 of n and vanishes for the drag (s = gamma^2).
+    Each is its coefficients @ one _powers table.  Neither forms 1 - e^-y,
+    so both keep their relative accuracy (tests/test_bath_integrals.py).
+    """
+    out = np.empty_like(y)
+    big = y > math.log(4.0)
+    out[big] = _LI2_POWER @ _powers(np.exp(-y[big]), _LI2_TERMS)
+    s = y[~big]
+    s2 = s * s
+    series = s * (_LI2_BERNOULLI @ _powers(s2, len(_BERNOULLI)))
+    out[~big] = (math.pi**2 / 6.0 - s) + (s * np.log(s) - 0.25 * s2 + series)
+    return out
+
+
+def _odd_series(c: np.ndarray, beta: float, g2: float) -> np.ndarray:
+    """Int_a^b (s c - y) n(y) dy of _bath_kernel for s = 1 and gamma^2, in c for b <= 1.
+
+    From the Bernoulli series of n(y), shape (2, *c.shape).  Its c^2
+    term beta g2 (g2 - s) c^2 comes from the -1/2 of n and vanishes for
+    the drag (s = gamma^2).
     """
     p, q = 1.0 / (1.0 + beta), 1.0 / (1.0 - beta)
-    coef = [s * math.log1p(2.0 * beta / (1.0 - beta)) - 2.0 * beta * g2]
-    for m, b2m in enumerate(_BERNOULLI, 1):
-        k = 2 * m
-        coef.append(b2m / math.factorial(k)
-                    * (s * (q**k - p**k) / k - (q ** (k + 1) - p ** (k + 1)) / (k + 1)))
+    s, k = np.array([[1.0], [g2]]), np.arange(2.0, 2.0 * len(_BERNOULLI) + 1.0, 2.0)
+    coef = _N_SERIES * (s * (q**k - p**k) / k - (q ** (k + 1) - p ** (k + 1)) / (k + 1))
     c2 = c * c
-    acc = np.zeros_like(c)
-    for f in reversed(coef):
-        acc = acc * c2 + f
+    acc = coef @ _powers(c2, len(_BERNOULLI)) + (s * math.log1p(2.0 * beta / (1.0 - beta))
+                                                 - 2.0 * beta * g2)
     return acc * c + beta * g2 * (g2 - s) * c2
 
 
-def _bath_kernel(c: np.ndarray, beta: float, kind: str) -> np.ndarray:
-    """Angular integral of the bath occupation at c = w'/(gamma T2), u = 1 + beta x.
+def _bath_kernel(c: np.ndarray, beta: float) -> np.ndarray:
+    """Angular integrals of the bath occupation at c = w'/(gamma T2), u = 1 + beta x.
 
-    Over x in [-1, 1], by `kind`:
+    Over x in [-1, 1], stacked in this order, shape (4, *c.shape):
 
-      "heat"    J0 = Int u^-2 n(c/u) dx            (Qdot)
-      "absorb"  M1 = Int u^-3 n(c/u) dx            (I2)
-      "force"   K  = Int x u^-3 n(c/u) dx          (F_x)
-      "drag"    J1 = Int (x + beta) u^-3 n(c/u) dx = K + beta M1
+      J0 = Int u^-2 n(c/u) dx            (Qdot)
+      M1 = Int u^-3 n(c/u) dx            (I2)
+      K  = Int x u^-3 n(c/u) dx          (F_x)
+      J1 = Int (x + beta) u^-3 n(c/u) dx = K + beta M1   (the drag)
 
     With y = c/u they become integrals over [a, b] = [c/(1+beta),
     c/(1-beta)]: J0 = (1/(beta c)) Int n dy, and K (s = 1) and J1
     (s = gamma^2) are (1/(beta^2 s c^2)) Int (s c - y) n(y) dy, closed
-    forms in ln(1 - e^-y) and Li2(e^-y).  M1 = J0 - beta K exactly; since
-    M1 >= J0/2 the difference loses at most a factor 2.  The closed forms
-    lose about eps/beta^2, so below _CLOSED_FORM_BETA a Gauss-Legendre
-    rule in x takes over, pairing x with -x so that the odd part is
+    forms in ln(1 - e^-y) and Li2(e^-y), which the four share.  M1 = J0 -
+    beta K exactly; since M1 >= J0/2 the difference loses at most a
+    factor 2.  The closed forms lose about eps/beta^2, so below
+    _CLOSED_FORM_BETA a Gauss-Legendre rule in x takes over, its nodes
+    sharing the occupations and paired x with -x so that the odd part is
     formed from differences that do not cancel.  Above it K and J1 still
     cancel where c/(1-beta) <= 1; there _odd_series takes over.
     """
@@ -317,74 +325,63 @@ def _bath_kernel(c: np.ndarray, beta: float, kind: str) -> np.ndarray:
         x, w = x[_X_NODES // 2:], w[_X_NODES // 2:]
         c = c[..., None]
         up, um = 1.0 + beta * x, 1.0 - beta * x
-        n_up, n_um = _occupation(c / up), _occupation(c / um)
-        if kind == "heat":
-            return (n_up / up**2 + n_um / um**2) @ w
-        even = n_up / up**3 + n_um / um**3
-        if kind == "absorb":
-            return even @ w
+        ym = c / um
+        n_up, n_um = _occupation(c / up), _occupation(ym)
         # n(c/u+) - n(c/u-) through expm1(c/u+ - c/u-), and u+^-3 - u-^-3
         # through u-^3 - u+^3 = -2 beta x (u+^2 + u+ u- + u-^2).
-        dn = np.expm1(-2.0 * beta * x * c / (up * um)) * n_up / np.expm1(-c / um)
+        dn = np.expm1(c * (-2.0 * beta * x / (up * um))) * n_up / np.expm1(-ym)
         du = -2.0 * beta * x * (up * up + up * um + um * um) / (up * um) ** 3
-        odd = x * (dn / up**3 + n_um * du)
-        return (odd if kind == "force" else odd + beta * even) @ w
+        # Each kernel's weights at the nodes, applied by @.
+        j0, m1 = np.moveaxis(n_up @ np.array([w / up**2, w / up**3]).T
+                             + n_um @ np.array([w / um**2, w / um**3]).T, -1, 0)
+        k = dn @ (w * x / up**3) + n_um @ (w * x * du)
+        return np.stack([j0, m1, k, k + beta * m1])
 
     g2 = 1.0 / ((1.0 - beta) * (1.0 + beta))
-    a = c / (1.0 + beta)
-    if kind == "heat":
-        # ln[(1 - e^-b)/(1 - e^-a)] with b - a = 2 beta gamma^2 c
-        return np.log1p(np.exp(-a) * np.expm1(-2.0 * beta * g2 * c) / np.expm1(-a)) / (beta * c)
-    if kind == "absorb":
-        return _bath_kernel(c, beta, "heat") - beta * _bath_kernel(c, beta, "force")
-    s = g2 if kind == "drag" else 1.0
-    b = c / (1.0 - beta)
-    out = np.empty_like(c)
+    a, b = c / (1.0 + beta), c / (1.0 - beta)
+    # ln[(1 - e^-b)/(1 - e^-a)] with b - a = 2 beta gamma^2 c
+    j0 = np.log1p(np.exp(-a) * np.expm1(-2.0 * beta * g2 * c) / np.expm1(-a)) / (beta * c)
+    odd = np.empty((2, *c.shape))  # Int (s c - y) n dy for K, then J1
     small = b <= 1.0
-    out[small] = _odd_series(c[small], beta, g2, s)
-    cl, a, b = c[~small], a[~small], b[~small]
-    # Int (s c - y) n dy = [(s c - y) ln(1 - e^-y) + Li2(e^-y)] from a to b,
-    # where s c - b = -beta b and s c - a = beta a for K, and both are
-    # -/+ beta gamma^2 c for J1.
-    if kind == "drag":
-        lin = -beta * g2 * cl * (_log1m_exp(a) + _log1m_exp(b))
-    else:
-        lin = -beta * (a * _log1m_exp(a) + b * _log1m_exp(b))
-    out[~small] = lin + _li2_exp(b) - _li2_exp(a)
-    return out / (beta * beta * s * c * c)
+    if small.any():
+        odd[:, small] = _odd_series(c[small], beta, g2)
+    ab = np.stack([a[~small], b[~small]])
+    log, li2 = _log1m_exp(ab), _li2_exp(ab)
+    # [(s c - y) ln(1 - e^-y) + Li2(e^-y)] from a to b, where s c - b = -beta b
+    # and s c - a = beta a for K, and both are -/+ beta gamma^2 c for J1.
+    odd[0, ~small] = -beta * (ab[0] * log[0] + ab[1] * log[1]) + li2[1] - li2[0]
+    odd[1, ~small] = -beta * g2 * c[~small] * (log[0] + log[1]) + li2[1] - li2[0]
+    k = odd[0] / (beta * beta * c * c)
+    return np.stack([j0, j0 - beta * k, k, odd[1] / (beta * beta * g2 * c * c)])
 
 
-def _bath_integral(
-    kind: str, beta: float, t2: float, model: PolarizabilityModel, spec: QuadratureSpec
-) -> Quantity:
-    """One bath term as an integral over the rest-frame w' (module docstring).
+@lru_cache(maxsize=1)
+def _bath_terms(beta: float, t2: float, model: PolarizabilityModel,
+                spec: QuadratureSpec) -> tuple[Quantity, Quantity, Quantity, Quantity]:
+    """The four bath terms, one vector integral over the rest-frame w' (module docstring).
 
-    pref * Int w'^4 a''(w') J dw' with J = _bath_kernel(w'/(gamma T2), kind):
-    pref = 2/(pi gamma^4) for the heating ("heat") and I2 ("absorb"),
-    -2/(pi gamma^4) for the bath term of F_x ("force") and -2/(pi gamma^2)
-    for the drag.
+    pref * Int w'^4 a''(w') J dw' for each J of _bath_kernel(w'/(gamma T2)):
+    A of Qdot (J0) and I2 (M1) with pref = 2/(pi gamma^4), the bath term of
+    F_x (K) with -2/(pi gamma^4) and the drag (J1) with -2/(pi gamma^2).
     """
     g = lorentz_gamma(beta)
     scale = g * t2
 
     def integrand(om):
-        return om**4 * alpha_im(model, om) * _bath_kernel(om / scale, beta, kind)
+        return om**4 * alpha_im(model, om) * _bath_kernel(om / scale, beta)
 
     # The least suppressed direction sees n(w'/(D T2)), D = sqrt((1+b)/(1-b)):
     # thermal scales run from T2/D to D T2, and the tail decays over D T2.
     blue = math.sqrt((1.0 + beta) / (1.0 - beta))
-    pref = -_PREF / g**2 if kind == "drag" else _PREF / (g**2 * g**2)
-    if kind == "force":
-        pref = -pref
-    return _integrate_thermal(integrand, pref, t2 / blue, t2 * blue, model, spec)
+    pref = _PREF / (g**2 * g**2)
+    return _integrate_thermal(integrand, (pref, pref, -pref, -_PREF / g**2),
+                              t2 / blue, t2 * blue, model, spec)
 
 
-def _force_lab(b: float, t2: float, model: PolarizabilityModel, spec: QuadratureSpec,
-               power: Quantity, absorbed: Quantity) -> Quantity:
-    """F_x = bath K term - beta P(T1) from the bare P(T1) and I2 (force_lab)."""
-    bath_term = _bath_integral("force", b, t2, model, spec)
+def _force_lab(b: float, power: Quantity, absorbed: Quantity, bath_term: Quantity) -> Quantity:
+    """F_x = bath K term - beta P(T1) from the bare P(T1), I2 and K term (force_lab)."""
     diag = dict(bath_term.diagnostics)
-    diag["nodes"] += absorbed.diagnostics["nodes"] + power.diagnostics["nodes"]
+    diag["nodes"] += power.diagnostics["nodes"]
     rounding = b * (_FORCE_ROUNDING * absorbed.value + _ROUNDING * power.value)
     return Quantity(bath_term.value - b * power.value,
                     bath_term.error + b * power.error + rounding, diag)
@@ -400,31 +397,30 @@ def force_lab(
 
     Negative values oppose the motion (+x direction).  Exactly zero at
     beta = 0, where the integrand is odd in x.  Evaluated as the bath
-    term, one 1D integral of the odd kernel K over the rest-frame
+    term, the odd kernel K of the one bath pass over the rest-frame
     frequency, minus beta P(T1) (module docstring).  K changes sign in
     c, so its rounding is bounded against beta M1 instead of |K|:
     _FORCE_ROUNDING * beta * I2 joins the error, with _ROUNDING * beta P
     for the emitted term.
     """
-    b, t2 = state.beta, bath.temperature
+    b = state.beta
     if b == 0.0:
         return _zero("integrand odd in x at beta = 0")
-    return _force_lab(b, t2, model, spec, _emitted_power(state.temperature, model, spec),
-                      _bath_integral("absorb", b, t2, model, spec))
+    _, absorbed, bath_term, _ = _bath_terms(b, bath.temperature, model, spec)
+    return _force_lab(b, _emitted_power(state.temperature, model, spec), absorbed, bath_term)
 
 
 def _heating_rate(b: float, t1: float, t2: float, model: PolarizabilityModel,
-                  spec: QuadratureSpec, power: Quantity) -> Quantity:
-    """Qdot = A - P(T1)/gamma^2 from the bare P(T1) at `spec` (heating_rate)."""
+                  spec: QuadratureSpec, power: Quantity, absorbed: Quantity) -> Quantity:
+    """Qdot = A - P(T1)/gamma^2 from the bare P(T1) and A at `spec` (heating_rate)."""
     g2 = lorentz_gamma(b) ** 2
-    absorbed = _bath_integral("heat", b, t2, model, spec)
     gross = absorbed.value + power.value / g2
     need = max(spec.rel_tol * abs(absorbed.value - power.value / g2), spec.abs_tol,
                _ROUNDING * gross)
     if absorbed.error + power.error / g2 > need:
         # The terms cancel: refine both to the tolerance of their difference.
         spec = replace(spec, rel_tol=need / gross)
-        absorbed = _bath_integral("heat", b, t2, model, spec)
+        absorbed = _bath_terms(b, t2, model, spec)[0]
         power = _emitted_power(t1, model, spec)
         gross = absorbed.value + power.value / g2
     diag = dict(absorbed.diagnostics)
@@ -443,14 +439,13 @@ def heating_rate(
 
     Positive when the bath heats the particle; zero at full equilibrium
     (beta = 0, T1 = T2).  Evaluated on the exact split Qdot = A - P(T1)/gamma^2
-    as two 1D integrals over the rest-frame frequency (module docstring).
-    Where the two terms cancel, both are refined until their errors meet
-    the tolerance of the net value; a rounding bound _HEAT_ROUNDING * (A +
-    P/gamma^2) joins the error.
+    from P(T1) and the bath pass (module docstring).  Where the two terms
+    cancel, both are refined until their errors meet the tolerance of the
+    net value; a rounding bound _HEAT_ROUNDING * (A + P/gamma^2) joins it.
     """
-    t1 = state.temperature
-    return _heating_rate(state.beta, t1, bath.temperature, model, spec,
-                         _emitted_power(t1, model, spec))
+    b, t1, t2 = state.beta, state.temperature, bath.temperature
+    return _heating_rate(b, t1, t2, model, spec, _emitted_power(t1, model, spec),
+                         _bath_terms(b, t2, model, spec)[0])
 
 
 def _intensity(power: Quantity, absorbed: Quantity) -> tuple[Quantity, Quantity, Quantity]:
@@ -471,14 +466,19 @@ def intensity(
     """Net, emitted, and absorbed radiated power: (I, I1, I2) with I = I1 - I2.
 
     I1 is the particle-temperature (spontaneous) term, which equals the
-    rest-frame emission P(T1) at any beta; I2 is the bath term, one 1D
-    integral of the kernel M1 over the rest-frame frequency (module
+    rest-frame emission P(T1) at any beta; I2 is the bath term, the
+    kernel M1 of the one bath pass over the rest-frame frequency (module
     docstring).  The rounding bounds _ROUNDING * I1 and _ABSORB_ROUNDING
     * I2 of their kernels join the errors.  Positive I means the particle
     loses energy to radiation.
     """
     return _intensity(_emitted_power(state.temperature, model, spec),
-                      _bath_integral("absorb", state.beta, bath.temperature, model, spec))
+                      _bath_terms(state.beta, bath.temperature, model, spec)[1])
+
+
+def _drag(drag: Quantity) -> Quantity:
+    """The drag with its rounding bound _DRAG_ROUNDING * |drag| (drag_combination)."""
+    return replace(drag, error=drag.error + _DRAG_ROUNDING * abs(drag.value))
 
 
 def drag_combination(
@@ -492,14 +492,14 @@ def drag_combination(
     Evaluated in its bath-only form: the particle-temperature parts of
     F_x and gamma^2*beta*Qdot cancel identically, leaving an integral
     weighted by n(w, T2) alone, so the result is independent of T1 by
-    construction.  One 1D integral over the rest-frame frequency
-    (module docstring).  Strictly negative for beta > 0, T2 > 0 and a
-    nonzero passive model; equals the rest-frame force.
+    construction.  The kernel J1 of the one bath pass over the
+    rest-frame frequency (module docstring).  Strictly negative for
+    beta > 0, T2 > 0 and a nonzero passive model; equals the rest-frame
+    force.
     """
     if state.beta == 0.0:
         return _zero("integrand odd in x at beta = 0")
-    q = _bath_integral("drag", state.beta, bath.temperature, model, spec)
-    return replace(q, error=q.error + _DRAG_ROUNDING * abs(q.value))
+    return _drag(_bath_terms(state.beta, bath.temperature, model, spec)[3])
 
 
 def force_rest_frame(
@@ -544,7 +544,8 @@ def force_rest_frame_nr(
         n = bose_occupation(om, t2)
         return om**5 * alpha_im(model, om) * 4.0 * n * (n + 1.0)
 
-    return _integrate_thermal(integrand, -beta / (3.0 * math.pi * t2), t2, t2, model, spec)
+    (force,) = _integrate_thermal(integrand, (-beta / (3.0 * math.pi * t2),), t2, t2, model, spec)
+    return force
 
 
 def evaluate_bundle(
@@ -555,15 +556,14 @@ def evaluate_bundle(
 ) -> ObservableBundle:
     """Evaluate every observable at one parameter point.
 
-    P(T1) and the absorbed term I2 are evaluated once and shared by the
-    members that compose them; each member is bitwise the standalone
-    observable's value and error.
+    Every member is composed from one P(T1) and one bath pass, bitwise
+    the standalone observable's value and error.
     """
     b, t1, t2 = state.beta, state.temperature, bath.temperature
     power = _emitted_power(t1, model, spec)
-    absorbed = _bath_integral("absorb", b, t2, model, spec)
-    force = (force_lab(state, bath, model, spec) if b == 0.0
-             else _force_lab(b, t2, model, spec, power, absorbed))
+    heat, absorbed, bath_term, drag = _bath_terms(b, t2, model, spec)
+    odd = _zero("integrand odd in x at beta = 0")
     # Fields in order: force_lab, heating_rate, (I, I1, I2), force_rest_frame.
-    return ObservableBundle(force, _heating_rate(b, t1, t2, model, spec, power),
-                            *_intensity(power, absorbed), force_rest_frame(state, bath, model, spec))
+    return ObservableBundle(odd if b == 0.0 else _force_lab(b, power, absorbed, bath_term),
+                            _heating_rate(b, t1, t2, model, spec, power, heat),
+                            *_intensity(power, absorbed), odd if b == 0.0 else _drag(drag))

@@ -125,14 +125,15 @@ def test_tracer_records_the_verification_route_and_uninstalls(monkeypatch):
 
     names = [sp.name for sp in spans if under_verify(sp)]
     assert "observables.force_rest_frame_alt" in names
-    # Every 1D value comes from one bundle, none from a standalone observable.
+    # Every 1D value comes from one bundle, none from a standalone observable:
+    # the bundle takes the drag from its bath pass too.
     assert names.count("observables.evaluate_bundle") == 1
     assert not {"observables.force_lab", "observables.heating_rate",
                 "observables.intensity"} & set(names)
     # One vector pass for the net intensity, the lab force and both spontaneous
     # terms, and one for the direct rest force.
     assert names.count("kernels.integrate_omega_x") == 2
-    assert names.count("observables.drag_combination") == 1
+    assert names.count("observables.drag_combination") == 0
     assert {name: getattr(consistency, name) for name in CONSISTENCY_PATCHED} == before
 
 

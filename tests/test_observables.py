@@ -26,6 +26,7 @@ from bbdrag import (
     spontaneous_term_cancellation,
     verify_all,
 )
+from bbdrag import observables
 from bbdrag.consistency import _doppler_terms, _net_intensity
 
 from conftest import REFERENCE_MODELS, rel_diff
@@ -54,16 +55,9 @@ def test_state_validation():
 # -------------------------------------------------------------- one pass
 
 
-@pytest.mark.parametrize("t1, bundle_integrals, verify_integrals", [(0.5, 5, 5), (0.0, 4, 4)])
-def test_bundle_and_verify_evaluate_each_rest_frame_integral_once(
-    monkeypatch, t1, bundle_integrals, verify_integrals
-):
-    """The bundle evaluates P(T1), I2, A, K and the drag once each (P(T1) is
-    an exact 0 without an integral at T1 = 0); verify_all takes every 1D
-    value from one bundle and adds none.  Each bundle member is the
-    standalone observable, value and error."""
-    import bbdrag.observables as observables
-
+@pytest.fixture
+def integrals(monkeypatch):
+    """The integrate_1d calls the observables make, as a list of their arguments."""
     calls = []
     original = observables.integrate_1d
 
@@ -72,17 +66,35 @@ def test_bundle_and_verify_evaluate_each_rest_frame_integral_once(
         return original(*args, **kwargs)
 
     monkeypatch.setattr(observables, "integrate_1d", counting)
+    return calls
+
+
+def _cold():
+    observables._bath_terms.cache_clear()
+
+
+@pytest.mark.parametrize("t1, bundle_integrals, verify_integrals", [(0.5, 2, 2), (0.0, 1, 1)])
+def test_bundle_and_verify_evaluate_each_rest_frame_integral_once(
+    integrals, t1, bundle_integrals, verify_integrals
+):
+    """The bundle evaluates P(T1) and the one bath pass of A, I2, K and the
+    drag once each (P(T1) is an exact 0 without an integral at T1 = 0),
+    with the bath memo cold; verify_all takes every 1D value from one
+    bundle and adds none.  Each bundle member is the standalone
+    observable, value and error."""
     bath = BathSpec(1.0)
     for model in REFERENCE_MODELS:
         for beta in (0.1, 0.5, 0.9):
             state = ParticleState(beta, 1.0, t1)
             tag = (type(model).__name__, beta, t1)
-            calls.clear()
+            _cold()
+            integrals.clear()
             bundle = evaluate_bundle(state, bath, model, SPEC)
-            assert len(calls) == bundle_integrals, tag
-            calls.clear()
+            assert len(integrals) == bundle_integrals, tag
+            _cold()
+            integrals.clear()
             verify_all(state, bath, model, SPEC)
-            assert len(calls) == verify_integrals, tag
+            assert len(integrals) == verify_integrals, tag
             standalone = (force_lab(state, bath, model, SPEC),
                           heating_rate(state, bath, model, SPEC),
                           *intensity(state, bath, model, SPEC),
@@ -92,6 +104,42 @@ def test_bundle_and_verify_evaluate_each_rest_frame_integral_once(
                        bundle.force_rest_frame)
             assert [(q.value, q.error) for q in members] == [
                 (q.value, q.error) for q in standalone], tag
+
+
+def test_the_drag_then_the_heating_rate_share_one_bath_pass(integrals):
+    """evolve's right-hand side asks for the drag and then the heating rate
+    at one state: the memo of the bath pass leaves P(T1) and one pass."""
+    bath = BathSpec(1.0)
+    for model in REFERENCE_MODELS:
+        for beta in (0.1, 0.5, 0.9):
+            state = ParticleState(beta, 1.0, 0.5)
+            _cold()
+            integrals.clear()
+            drag_combination(state, bath, model, SPEC)
+            heating_rate(state, bath, model, SPEC)
+            assert len(integrals) == 2, (type(model).__name__, beta)
+
+
+def test_every_value_is_the_same_with_the_bath_memo_cold_or_warm():
+    def values(state, model, cold):
+        out = []
+        for fn in (force_lab, heating_rate, intensity, drag_combination):
+            if cold:
+                _cold()
+            q = fn(state, bath, model, SPEC)
+            out += [(x.value, x.error) for x in (q if isinstance(q, tuple) else (q,))]
+        return out
+
+    bath = BathSpec(1.0)
+    for model in REFERENCE_MODELS:
+        for beta in (0.0, 0.1, 0.5, 0.9):
+            state = ParticleState(beta, 1.0, 0.5)
+            cold = values(state, model, True)
+            _cold()
+            heating_rate(state, bath, model, SPEC)
+            warm = values(state, model, False)
+            assert observables._bath_terms.cache_info().misses == 1  # every call above warm
+            assert warm == cold, (type(model).__name__, beta)
 
 
 # -------------------------------------------------------------- closed forms
