@@ -23,8 +23,10 @@ rest-frame frequency (observables).  The verification route lives here:
 2D quadratures of the lab-frame forms that define the observables.
 Their inner variable is the rapidity shift s in [-1, 1], u = 1 + bx =
 e^(eta s)/gamma (_rapidity_map); each cuts off at u_max decay lengths
-of its slowest-decaying occupation and seeds its outer panels with the
-1D route's ladder from its lowest thermal scale.  verify_all takes the
+of its slowest-decaying occupation, puts its nodes only where a'' can be
+nonzero (w or w_b in polarizability.support) and seeds its outer panels
+with the support's ends, their Doppler images and the 1D route's ladder
+from its lowest thermal scale.  verify_all takes the
 net intensity, the lab force and the two spontaneous terms
 (SpontaneousTerms) from one vector Doppler pass (_doppler_terms), the
 direct rest force from a second, and every 1D value from one
@@ -53,7 +55,7 @@ from .observables import (_PREF, DEFAULT_QUADRATURE, BathSpec, ParticleState, Qu
 # perfbench's tracer patches these by name.
 from .observables import (drag_combination, force_lab, force_rest_frame,  # noqa: F401
                           heating_rate, intensity)
-from .polarizability import PolarizabilityModel, alpha_im, breakpoints
+from .polarizability import PolarizabilityModel, alpha_im, support
 
 ABS_FLOOR = 1e-12
 
@@ -138,26 +140,18 @@ def _rapidity_map(beta: float):
     return at
 
 
-def _jump_edges(model: PolarizabilityModel, beta: float):
-    """Inner-edge function at the jumps of a''(w_b): s*(w) = ln(w_e/w)/eta.
+def _support_edges(model: PolarizabilityModel, beta: float):
+    """Inner-edge function of the one segment where w_b = w e^(eta s) lies in the support.
 
-    None without jumps, and at beta = 0, where w_b = w: the jumps are then
-    outer seeds only.
+    s from ln(lo/w)/eta to ln(hi/w)/eta, clipped to [-1, 1]; a''(w_b) is 0
+    outside it.  None for the support (0, inf), and at beta = 0, where
+    w_b = w and the outer range alone keeps the nodes inside the support.
     """
-    breaks = breakpoints(model)
-    if not breaks or beta == 0.0:
+    lo, hi = support(model)
+    if (lo, hi) == (0.0, math.inf) or beta == 0.0:
         return None
     eta = math.atanh(beta)
-
-    def edges_fn(omega):
-        # omega -> 0 sends the raw edge to inf before the clip catches it
-        with np.errstate(over="ignore", divide="ignore"):
-            cols = [np.clip(np.log(w_e / omega) / eta, -1.0, 1.0) for w_e in breaks]
-        edges = np.stack([np.full(omega.shape, -1.0), *cols, np.full(omega.shape, 1.0)], axis=-1)
-        edges.sort(axis=-1)
-        return edges
-
-    return edges_fn
+    return lambda omega: np.clip(np.log(np.array([lo, hi]) / omega[:, None]) / eta, -1.0, 1.0)
 
 
 def _doppler_integral(weight, prefs: tuple, beta: float, t1: float, t2: float,
@@ -172,11 +166,13 @@ def _doppler_integral(weight, prefs: tuple, beta: float, t1: float, t2: float,
     `spontaneous` keep -n(w_b,T1) alone.  Passing t1 = 0 keeps the bath
     term alone and t2 = 0 the (negative) particle term alone, since
     n(., 0) is exactly 0.  The cutoff is u_max * max(T2, D T1),
-    D = sqrt((1+b)/(1-b)), since n(w_b, T1) decays over D T1 in w.  A jump of a'' at w_e puts outer kinks at
-    w_e/(gamma*(1 +/- beta)) and w_e/gamma, and a'' is 0 above the last.
-    The seed ladder starts at the lowest scale min(T2, T1/D) of the
-    terms that do not underflow and ends at the cutoff or that kink.  An
-    exact zero comes back as +0.0.
+    D = sqrt((1+b)/(1-b)), since n(w_b, T1) decays over D T1 in w.  Each
+    end w_e of the support (lo, hi) puts outer kinks at w_e/(gamma*(1 +/- beta))
+    and w_e/gamma; w runs from lo/(gamma*(1+beta)) to hi/(gamma*(1-beta)),
+    where a''(w_b) can be nonzero, and s over the one segment where w_b
+    lies in the support (_support_edges).  The seed ladder starts at the
+    lowest scale min(T2, T1/D) of the terms that do not underflow and ends
+    at the cutoff or the last kink.  An exact zero comes back as +0.0.
     """
     g = lorentz_gamma(beta)
     at = _rapidity_map(beta)
@@ -211,9 +207,9 @@ def _doppler_integral(weight, prefs: tuple, beta: float, t1: float, t2: float,
     decay = max(t2, t1 * blue)
     lowest = min((t for t, d in ((t2, t2), (t1 / blue, t1 * blue))
                   if spec.u_max * d >= _OMEGA_DOMAIN_FLOOR), default=math.inf)
-    kinks = [w_e / (g * f) for w_e in breakpoints(model) for f in (1.0 + beta, 1.0, 1.0 - beta)]
-    stop = min(spec.u_max * decay, max(kinks, default=math.inf))
-    q = integrate_omega_x(kern, decay, spec, inner_edges_fn=_jump_edges(model, beta),
+    kinks = [w_e / (g * f) for w_e in support(model) for f in (1.0 + beta, 1.0, 1.0 - beta)]
+    stop = min(spec.u_max * decay, kinks[-1])
+    q = integrate_omega_x(kern, decay, spec, (kinks[0], kinks[-1]), _support_edges(model, beta),
                           outer_seeds=(*kinks, *_seed_ladder(lowest, stop, model)))
     value, error = np.broadcast_to(q.value, len(prefs)), np.broadcast_to(q.error, len(prefs))
     return tuple(Quantity(p * float(v) + 0.0, abs(p) * float(e), _diag(q, g, beta))
@@ -286,12 +282,12 @@ def force_rest_frame_alt(
         return x * jac * om**4 * alpha_im(model, om) * bose_occupation(g * om * u, t2)
 
     # The occupation argument spans [w/D, D w], D = sqrt((1+b)/(1-b)): the
-    # tail decays over D T2 and the lowest thermal scale is T2/D.
+    # tail decays over D T2 and the lowest thermal scale is T2/D; w spans the support.
     blue = math.sqrt((1.0 + b) / (1.0 - b))
-    breaks = breakpoints(model)
-    stop = min(spec.u_max * t2 * blue, max(breaks, default=math.inf))
-    q = integrate_omega_x(kern, t2 * blue, spec,
-                          outer_seeds=(*breaks, *_seed_ladder(t2 / blue, stop, model)))
+    lo, hi = support(model)
+    stop = min(spec.u_max * t2 * blue, hi)
+    q = integrate_omega_x(kern, t2 * blue, spec, (lo, hi),
+                          outer_seeds=_seed_ladder(t2 / blue, stop, model))
     return Quantity(_PREF * q.value, _PREF * q.error, _diag(q, g, b))
 
 

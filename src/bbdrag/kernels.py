@@ -26,7 +26,7 @@ component.  A k-less integrand is the one-component case, with floats.
 integrate_omega_x serves the verification route (the consistency
 module) alone: its double integrals over (omega, x) apply a fixed
 _INNER_NODES-point Gauss-Legendre rule across the inner variable,
-piecewise between edges from the caller (a model's jump images), inside
+piecewise between edges from the caller (the support's image), inside
 the adaptive omega integral; the reported error has no term for it.
 """
 
@@ -336,10 +336,11 @@ def integrate_omega_x(
     kernel,
     decay: float,
     spec: QuadratureSpec,
+    omega_range=(0.0, math.inf),
     inner_edges_fn=None,
     outer_seeds=(),
 ) -> QuadResult:
-    """Nested quadrature of kernel(omega, x) over (0, omega_max] x [-1, 1].
+    """Nested quadrature of kernel(omega, x) over omega_range x [-1, 1].
 
     A fixed _INNER_NODES-point Gauss-Legendre rule across x on each inner
     segment, inside adaptive quadrature over omega truncated at
@@ -355,11 +356,14 @@ def integrate_omega_x(
         Length in omega over which the kernel's Wien tail decays, for
         every x in [-1, 1]; the caller knows its thermal scales.
     spec : QuadratureSpec
+    omega_range : (float, float), optional
+        (lo, hi): the kernel is 0 for omega outside it (the support's
+        image), so the omega nodes lie in [lo, min(hi, omega_max)].
     inner_edges_fn : callable, optional
         Maps a flat omega array (N,) to an ascending edge array
         (N, m + 1) spanning [-1, 1], by default [[-1, 1]]; the inner
-        rule is applied on each [edge_i, edge_{i+1}] separately.  For
-        jumps in x (band-edge images); zero-width segments add nothing.
+        rule is applied on each [edge_i, edge_{i+1}] separately (where
+        the kernel can be nonzero); zero-width segments add nothing.
     outer_seeds : iterable of float, optional
         Initial panel edges for the omega integral (kink frequencies).
 
@@ -368,11 +372,12 @@ def integrate_omega_x(
     QuadResult
         error includes the _tail_bound of the omega integral at the
         cutoff; neval counts kernel point evaluations, all components at
-        once; omega_max records the cutoff.  Below _OMEGA_DOMAIN_FLOOR the
-        value and error are one scalar 0 for every component.
+        once; omega_max records the cutoff.  Below _OMEGA_DOMAIN_FLOOR or on
+        an empty range the value and error are one scalar 0 for every component.
     """
     omega_max = spec.u_max * decay
-    if omega_max < _OMEGA_DOMAIN_FLOOR:
+    lo, hi = omega_range[0], min(omega_range[1], omega_max)
+    if omega_max < _OMEGA_DOMAIN_FLOOR or lo >= hi:
         return QuadResult(0.0, 0.0, 0, 0, float(omega_max))
 
     xg, wg = _gl_nodes(_INNER_NODES)
@@ -388,6 +393,6 @@ def integrate_omega_x(
         vals = kernel(flat[:, None, None], x)
         return np.sum(vals * (half * wg), axis=(-2, -1)).reshape(vals.shape[:-3] + omega.shape)
 
-    res = integrate_1d(inner, 0.0, omega_max, spec, seeds=outer_seeds)
+    res = integrate_1d(inner, lo, hi, spec, seeds=outer_seeds)
     error = res.error + _tail_bound(inner, omega_max, spec)
     return QuadResult(res.value, error, count, res.panels, omega_max)

@@ -84,7 +84,7 @@ import numpy as np
 from .kernels import (BETA_MAX, QuadratureSpec, _OMEGA_DOMAIN_FLOOR, _gl_nodes, _occupation,
                       _tail_bound, bose_occupation, integrate_1d, lorentz_gamma)
 from .kernels import integrate_omega_x  # noqa: F401 -- perfbench's tracer patches it by name
-from .polarizability import PolarizabilityModel, alpha_im, breakpoints, feature_frequency
+from .polarizability import PolarizabilityModel, alpha_im, feature_frequency, support
 
 _PREF = 2.0 / math.pi
 
@@ -216,18 +216,21 @@ def _integrate_thermal(integrand, prefs: tuple, lowest: float, decay: float,
 
     `decay` is the length over which the integrand's Wien tail decays and
     `lowest` its lowest thermal scale; the integrand stacks one component
-    per prefactor in front (integrate_1d), none for a 1-tuple.  Exact 0s
-    when the cutoff lies below _OMEGA_DOMAIN_FLOOR (a zero or underflowing
-    temperature).  Panel edges are the model's breakpoints and the
-    _seed_ladder from `lowest` up to the cutoff; the errors include
+    per prefactor in front (integrate_1d), none for a 1-tuple.  It runs
+    over [lo, min(hi, cut)] of the support (lo, hi), where a'' can be
+    nonzero.  Exact 0s when the cutoff lies below _OMEGA_DOMAIN_FLOOR (a
+    zero or underflowing temperature) or at or below lo.  Panel edges are
+    the _seed_ladder from `lowest` up to the cutoff; the errors include
     kernels._tail_bound.  "neval" counts integrate_omega_x kernel
     evaluations, none here; "nodes" counts the 1D integrand's.
     """
     cut = spec.u_max * decay
+    lo, hi = support(model)
     if cut < _OMEGA_DOMAIN_FLOOR:
         return (_zero("no photons: the temperature is 0 or its domain underflows"),) * len(prefs)
-    seeds = [*breakpoints(model), *_seed_ladder(lowest, cut, model)]
-    q = integrate_1d(integrand, 0.0, cut, spec, seeds=seeds)
+    if lo >= cut:
+        return (_zero("the support lies above the cutoff: a'' is 0 below it"),) * len(prefs)
+    q = integrate_1d(integrand, lo, min(hi, cut), spec, seeds=_seed_ladder(lowest, cut, model))
     error = q.error + _tail_bound(integrand, cut, spec)
     diag = {"neval": 0, "nodes": q.neval, "panels": q.panels,
             "omega_max": cut, "omega_beta_max": cut}

@@ -17,7 +17,8 @@ summed electric and magnetic polarizability, in internal units
   with omega_c = None meaning no exponential cutoff.
 
 All models are passive (alpha''(w) >= 0 for w >= 0), immutable, and
-evaluated without side effects.  Negative frequencies are rejected:
+evaluated without side effects; alpha'' is exactly 0 outside support(model),
+and no quadrature puts a node there.  Negative frequencies are rejected:
 every integral in this package runs over w >= 0, so callers never need
 the odd continuation.
 """
@@ -142,11 +143,11 @@ def alpha_im(model: PolarizabilityModel, omega):
     return out
 
 
-def breakpoints(model: PolarizabilityModel) -> tuple[float, ...]:
-    """Frequencies where alpha'' is non-smooth; quadrature splits there."""
+def support(model: PolarizabilityModel) -> tuple[float, float]:
+    """(lo, hi), outside which alpha'' is exactly 0: TopHat's band, else (0, inf)."""
     if isinstance(model, TopHat):
         return (model.omega1, model.omega2)
-    return ()
+    return (0.0, math.inf)
 
 
 def feature_frequency(model: PolarizabilityModel) -> float | None:

@@ -18,7 +18,7 @@ from bbdrag import (
     model_from_dict,
     model_to_dict,
 )
-from bbdrag.polarizability import breakpoints, point_dipole_wavelength_bound
+from bbdrag.polarizability import point_dipole_wavelength_bound, support
 
 from conftest import REFERENCE_MODELS
 
@@ -64,7 +64,7 @@ def test_tophat_band_and_edges():
     assert alpha_im(m, 1.5) == 2.5
     assert alpha_im(m, 2.0) == 2.5
     assert alpha_im(m, 2.5) == 0.0
-    assert breakpoints(m) == (1.0, 2.0)
+    assert support(m) == (1.0, 2.0)
 
 
 def test_null_coupling_tophat_is_identically_zero():
@@ -75,7 +75,7 @@ def test_null_coupling_tophat_is_identically_zero():
 def test_ohmic_with_and_without_cutoff():
     assert alpha_im(Ohmic(2.0, None), 3.0) == 6.0
     assert alpha_im(Ohmic(2.0, 5.0), 3.0) == pytest.approx(6.0 * math.exp(-0.6), rel=1e-14)
-    assert breakpoints(Ohmic(1.0, None)) == ()
+    assert support(Ohmic(1.0, None)) == (0.0, math.inf)
 
 
 # --------------------------------------------------------------- properties
