@@ -15,7 +15,8 @@ share of the tolerance are split at the midpoint until the total
 estimate passes or the subdivision budget runs out.  Panel sums are
 accumulated in ascending-interval order, single-threaded, so results
 are bitwise reproducible regardless of how callers parallelize around
-the engine.
+the engine.  A truncated integral adds _TAIL_LENGTHS * L * |f(b)| to its
+error, L the decay length of its tail, with f(b) in the first call.
 
 An integrand may stack k components in front of its argument's shape.
 They share the panels: one is split when any component's defect exceeds
@@ -77,7 +78,8 @@ class QuadratureConvergenceError(RuntimeError):
     """Adaptive quadrature failed numerically.
 
     Its subdivision budget ran out, or the integrand produced non-finite
-    panel sums (such as inf * 0 where w^4 overflows and a'' underflows).
+    panel sums or a non-finite sample at the cutoff (such as inf * 0
+    where w^4 overflows and a'' underflows).
     """
 
     def __init__(self, message: str, value: float = math.nan, error: float = math.nan):
@@ -190,12 +192,15 @@ def bose_occupation(omega, temperature: float):
     return out
 
 
-def _panel_pair(f, lo, hi):
-    """Evaluate the GL pair on a batch of P panels.
+def _panel_pair(f, lo, hi, cut=None):
+    """Evaluate the GL pair on a batch of P panels, and f at `cut` in the same call.
 
-    Returns (rows, evaluation count, k-less): rows (3, k, P) holds each
-    component's high-order sums, defects |GL31 - GL15| and |high-order
-    sums|, k = 1 for a k-less integrand (integrate_1d's f).
+    f gets the nodes as a (P, 46) array, or flat with `cut` appended (only
+    then: a matmul inside f, as in the bath kernel, may round by shape).
+    Returns (rows, |f(cut)| per component, evaluation count without
+    the cut, k-less): rows (3, k, P) holds each component's
+    high-order sums, defects |GL31 - GL15| and |high-order sums|, k = 1
+    for a k-less integrand (integrate_1d's f).
     """
     x_lo, w_lo = _gl_nodes(_GL_LOW)
     x_hi, w_hi = _gl_nodes(_GL_HIGH)
@@ -203,18 +208,21 @@ def _panel_pair(f, lo, hi):
     mid = 0.5 * (hi + lo)
     nodes = np.concatenate([x_lo, x_hi])
     pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape[-2:] != pts.shape or vals.ndim > 3:
-        raise ValueError(f"integrand returned shape {vals.shape}, expected {pts.shape}")
+    x = pts if cut is None else np.append(pts, cut)
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape[-x.ndim:] != x.shape or vals.ndim > x.ndim + 1:
+        raise ValueError(f"integrand returned shape {vals.shape}, expected {x.shape}")
+    at_cut = np.abs(vals[..., pts.size:])  # the values past the nodes: f(cut) or none
+    vals = vals[..., :pts.size].reshape(*vals.shape[:-x.ndim], *pts.shape)
     v_hi = (vals[..., _GL_LOW:] @ w_hi) * half
-    if not np.isfinite(v_hi).all():
-        raise QuadratureConvergenceError("integrand produced non-finite panel sums")
+    if not (np.isfinite(v_hi).all() and np.isfinite(at_cut).all()):
+        raise QuadratureConvergenceError("integrand produced non-finite panel sums or f(cut)")
     defect = np.abs(v_hi - (vals[..., :_GL_LOW] @ w_lo) * half)
     rows = np.concatenate([v_hi, defect, np.abs(v_hi)]).reshape(3, -1, len(lo))
-    return rows, pts.size, vals.ndim == 2
+    return rows, at_cut, pts.size, vals.ndim == 2
 
 
-def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadResult:
+def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=(), decay=None) -> QuadResult:
     """Adaptive Gauss quadrature of f over [a, b] with an error estimate.
 
     Parameters
@@ -228,13 +236,17 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
     seeds : iterable of float, optional
         Interior points forced to be initial panel edges (kinks or scale
         transitions known to the caller).
+    decay : float, optional
+        Decay length of f's tail beyond b, where [a, b] truncates a longer
+        integral: the truncation bound _TAIL_LENGTHS * decay * |f(b)|.
 
     Returns
     -------
     QuadResult
         value (high-order panel sum), error (sum of per-panel embedded
-        defects plus the roundoff floor of the gross panel mass),
-        evaluation count, panel count; value and error are arrays of k
+        defects plus the roundoff floor of the gross panel mass, plus the
+        truncation bound given a decay), evaluation count without f(b),
+        panel count; value and error are arrays of k
         for k components.  For strongly cancelling
         integrals the reported error bottoms out at that roundoff
         floor even when the defect sum has passed a tighter tolerance:
@@ -245,7 +257,7 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
     QuadratureConvergenceError
         If the split budget is exhausted before the reducible (pair
         defect) estimate of every component passes its own
-        max(rel_tol * |value|, abs_tol), or if a panel sum is not finite.
+        max(rel_tol * |value|, abs_tol), or if a panel sum or f(b) is not finite.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite bounds with a < b, got {a!r}, {b!r}")
@@ -253,7 +265,8 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
     edges = np.array([a, *sorted({float(s) for s in seeds if a < s < b}), b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
 
-    rows, neval, kless = _panel_pair(f, lo, hi)
+    rows, f_b, neval, kless = _panel_pair(f, lo, hi, None if decay is None else b)
+    tail = [0.0] * len(rows[0]) if decay is None else (_TAIL_LENGTHS * decay * f_b).ravel().tolist()
     splits_used = 0
 
     def out(per_component):  # floats for a k-less integrand
@@ -273,7 +286,7 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
         ordered = np.take(rows, np.argsort(lo, kind="stable"), axis=-1)
         value, reducible, gross = np.add.reduce(ordered, axis=-1).tolist()
         noise = [_ERR_FLOOR * m for m in gross]
-        err_total = [r + n for r, n in zip(reducible, noise)]
+        err_total = [r + n + t for r, n, t in zip(reducible, noise, tail)]
         tol = [max(spec.rel_tol * abs(v), spec.abs_tol) for v in value]
         target = [max(t, n) for t, n in zip(tol, noise)]
         if all(r <= t for r, t in zip(reducible, target)):
@@ -311,7 +324,7 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
 
         new_lo = np.concatenate([lo[cand], mid])
         new_hi = np.concatenate([mid, hi[cand]])
-        new_rows, extra, _ = _panel_pair(f, new_lo, new_hi)
+        new_rows, _, extra, _ = _panel_pair(f, new_lo, new_hi)
         neval += extra
         splits_used += cand.size
 
@@ -320,16 +333,6 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec, seeds=()) -> QuadR
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         rows = np.concatenate([rows[..., keep], new_rows], axis=-1)
-
-
-def _tail_bound(f, cut: float, spec: QuadratureSpec):
-    """Truncation error of Int_0^cut f, with cut = spec.u_max decay lengths.
-
-    _TAIL_LENGTHS * (cut / u_max) * |f(cut)|; f takes and returns ndarrays,
-    and a vector f gets one bound per component.
-    """
-    tail = _TAIL_LENGTHS * (cut / spec.u_max) * np.abs(np.asarray(f(np.array([cut])))[..., 0])
-    return tail if tail.ndim else float(tail)
 
 
 def integrate_omega_x(
@@ -370,9 +373,10 @@ def integrate_omega_x(
     Returns
     -------
     QuadResult
-        error includes the _tail_bound of the omega integral at the
-        cutoff; neval counts kernel point evaluations, all components at
-        once; omega_max records the cutoff.  Below _OMEGA_DOMAIN_FLOOR or on
+        error includes the truncation bound at the cutoff where omega_range
+        reaches it (the kernel is 0 above it otherwise); neval counts kernel
+        point evaluations, all components and the cutoff sample included;
+        omega_max records the cutoff.  Below _OMEGA_DOMAIN_FLOOR or on
         an empty range the value and error are one scalar 0 for every component.
     """
     omega_max = spec.u_max * decay
@@ -393,6 +397,6 @@ def integrate_omega_x(
         vals = kernel(flat[:, None, None], x)
         return np.sum(vals * (half * wg), axis=(-2, -1)).reshape(vals.shape[:-3] + omega.shape)
 
-    res = integrate_1d(inner, lo, hi, spec, seeds=outer_seeds)
-    error = res.error + _tail_bound(inner, omega_max, spec)
-    return QuadResult(res.value, error, count, res.panels, omega_max)
+    res = integrate_1d(inner, lo, hi, spec, seeds=outer_seeds,
+                       decay=decay if omega_range[1] >= omega_max else None)
+    return QuadResult(res.value, res.error, count, res.panels, omega_max)

@@ -82,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import (BETA_MAX, QuadratureSpec, _OMEGA_DOMAIN_FLOOR, _gl_nodes, _occupation,
-                      _tail_bound, bose_occupation, integrate_1d, lorentz_gamma)
+                      bose_occupation, integrate_1d, lorentz_gamma)
 from .kernels import integrate_omega_x  # noqa: F401 -- perfbench's tracer patches it by name
 from .polarizability import PolarizabilityModel, alpha_im, feature_frequency, support
 
@@ -220,9 +220,10 @@ def _integrate_thermal(integrand, prefs: tuple, lowest: float, decay: float,
     over [lo, min(hi, cut)] of the support (lo, hi), where a'' can be
     nonzero.  Exact 0s when the cutoff lies below _OMEGA_DOMAIN_FLOOR (a
     zero or underflowing temperature) or at or below lo.  Panel edges are
-    the _seed_ladder from `lowest` up to the cutoff; the errors include
-    kernels._tail_bound.  "neval" counts integrate_omega_x kernel
-    evaluations, none here; "nodes" counts the 1D integrand's.
+    the _seed_ladder from `lowest` up to the cutoff.  The errors include
+    the truncation bound where the support reaches the cutoff (elsewhere
+    the tail is exactly 0 and unsampled).  "neval" counts integrate_omega_x
+    kernel evaluations, none here; "nodes" the 1D integrand's but the cutoff.
     """
     cut = spec.u_max * decay
     lo, hi = support(model)
@@ -230,12 +231,12 @@ def _integrate_thermal(integrand, prefs: tuple, lowest: float, decay: float,
         return (_zero("no photons: the temperature is 0 or its domain underflows"),) * len(prefs)
     if lo >= cut:
         return (_zero("the support lies above the cutoff: a'' is 0 below it"),) * len(prefs)
-    q = integrate_1d(integrand, lo, min(hi, cut), spec, seeds=_seed_ladder(lowest, cut, model))
-    error = q.error + _tail_bound(integrand, cut, spec)
+    q = integrate_1d(integrand, lo, min(hi, cut), spec, seeds=_seed_ladder(lowest, cut, model),
+                     decay=decay if hi >= cut else None)
     diag = {"neval": 0, "nodes": q.neval, "panels": q.panels,
             "omega_max": cut, "omega_beta_max": cut}
     return tuple(Quantity(p * float(v) + 0.0, abs(p) * float(e), diag)
-                 for p, v, e in zip(prefs, np.atleast_1d(q.value), np.atleast_1d(error)))
+                 for p, v, e in zip(prefs, np.atleast_1d(q.value), np.atleast_1d(q.error)))
 
 
 def _emitted_power(t1: float, model: PolarizabilityModel, spec: QuadratureSpec) -> Quantity:

@@ -18,7 +18,7 @@ from bbdrag import (
     integrate_omega_x,
     lorentz_gamma,
 )
-from bbdrag.kernels import BETA_MAX
+from bbdrag.kernels import BETA_MAX, _TAIL_LENGTHS
 
 SPEC = QuadratureSpec()
 
@@ -243,6 +243,32 @@ def test_nonfinite_integrand_reported():
     with np.errstate(divide="ignore"):
         with pytest.raises(QuadratureConvergenceError, match="non-finite"):
             integrate_1d(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, SPEC)
+
+
+def test_the_truncation_bound_rides_in_the_first_panel_batch():
+    """Given the decay length of the tail beyond b, f(b) comes from the same
+    call as the first panels: an integral that converges there calls its
+    integrand once, and _TAIL_LENGTHS * decay * |f(b)| joins its error,
+    with value, panels and node count unchanged."""
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.exp(-x)
+
+    seeds, decay = (2.0, 4.0, 8.0, 16.0), 2.5
+    bounded = integrate_1d(f, 0.0, 40.0, SPEC, seeds=seeds, decay=decay)
+    assert len(calls) == 1
+    bare = integrate_1d(f, 0.0, 40.0, SPEC, seeds=seeds)
+    assert (bounded.value, bounded.neval, bounded.panels) == (bare.value, bare.neval, bare.panels)
+    assert bounded.error - bare.error == pytest.approx(
+        _TAIL_LENGTHS * decay * math.exp(-40.0), rel=1e-12)
+
+
+def test_nonfinite_integrand_at_the_cutoff_reported():
+    """Finite panel sums do not hide a non-finite f(b) in the truncation bound."""
+    with pytest.raises(QuadratureConvergenceError, match="non-finite"):
+        integrate_1d(lambda x: np.where(x < 1.0, x, np.nan), 0.0, 1.0, SPEC, decay=0.1)
 
 
 def test_invalid_bounds_rejected():

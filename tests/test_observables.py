@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from bbdrag import (
     BathSpec,
     Ohmic,
     ParticleState,
+    QuadratureConvergenceError,
     QuadratureSpec,
     TopHat,
     drag_combination,
@@ -345,6 +347,49 @@ def test_low_speed_rest_force_error_covers_the_truncation_at_the_cutoff():
         cut = force_rest_frame_nr(1e-3, BathSpec(t2), model, SPEC)
         wide = force_rest_frame_nr(1e-3, BathSpec(t2), model, QuadratureSpec(u_max=80.0))
         assert abs(cut.value - wide.value) <= cut.error, (model, t2)
+
+
+def test_a_nan_sample_at_the_cutoff_raises():
+    """Just below where w^4 overflows on the panels, the cutoff sample of
+    Ohmic(1, 5) is already inf * 0 = nan: the truncation bound would be nan,
+    so the integral fails instead of returning error = nan."""
+    model = Ohmic(slope=1.0, omega_c=5.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureConvergenceError, match="non-finite"):
+            heating_rate(ParticleState(0.3, 1.0, 2.8951e75), BathSpec(1.0), model, SPEC)
+        _cold()
+        with pytest.raises(QuadratureConvergenceError, match="non-finite"):
+            drag_combination(ParticleState(0.3, 1.0, 0.0), BathSpec(2.1244e75), model, SPEC)
+
+
+def test_no_sample_at_a_cutoff_above_the_band(monkeypatch):
+    """TopHat(1, 0.5, 1.5) ends below every cutoff here, where a'' and the
+    truncation bound are exactly 0: P(T1) and the bath pass sample a'' only
+    inside the band, and the 2D monitor's kernel evaluations are the
+    _INNER_NODES of each outer node, 46 per panel, with no cutoff sample.
+    Ohmic(1, 5) reaches its cutoffs and takes the one sample there."""
+    from bbdrag.kernels import _GL_HIGH, _GL_LOW, _INNER_NODES
+
+    sampled = []
+    original = observables.alpha_im
+
+    def recorded(model, omega):
+        sampled.append(np.asarray(omega))
+        return original(model, omega)
+
+    monkeypatch.setattr(observables, "alpha_im", recorded)
+    outer = _INNER_NODES * (_GL_LOW + _GL_HIGH)
+    for beta in (0.0, 0.3, 0.9):
+        state, bath = ParticleState(beta, 1.0, 2.0), BathSpec(1.0)
+        _cold()
+        sampled.clear()
+        evaluate_bundle(state, bath, TopHat(1.0, 0.5, 1.5), SPEC)
+        assert len(sampled) == 2, beta  # P(T1) and the bath pass, each converged at once
+        assert all(((w > 0.5) & (w < 1.5)).all() for w in sampled), beta
+        monitor = _net_intensity(state, bath, TopHat(1.0, 0.5, 1.5), SPEC)
+        assert monitor.diagnostics["neval"] % outer == 0, beta
+        smooth = _net_intensity(state, bath, Ohmic(slope=1.0, omega_c=5.0), SPEC)
+        assert smooth.diagnostics["neval"] % outer == _INNER_NODES, beta
 
 
 def test_diagnostics_present():
