@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import typing
+import warnings
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 -- perfbench's tracer patches it by name
 from pathlib import Path
 
@@ -651,6 +652,8 @@ def run(argv=None) -> int:
 
 
 def main():
+    # The engine raises on a non-finite sample; numpy's warnings before that are noise here.
+    warnings.filterwarnings("ignore", "(overflow|invalid value|divide by zero) encountered", RuntimeWarning)
     sys.exit(run())
 
 

@@ -647,7 +647,8 @@ def test_nonfinite_integrand_exits_2_without_a_traceback(t1):
     """Far above the default Ohmic spectrum w^4 overflows where a'' has
     underflowed to 0: a numerical failure of valid input, not an input error.
     At T1 = 2.8951e75 only the sample at the cutoff is inf * 0.  A
-    subprocess, since pytest would raise the overflow RuntimeWarning."""
+    subprocess, since pytest would raise the overflow RuntimeWarning; the
+    CLI itself prints none of numpy's floating-point warnings."""
     proc = subprocess.run(
         [sys.executable, "-m", "bbdrag.cli", "heat", "--beta", "0.3", "--t1", t1, "--t2", "1"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
@@ -655,6 +656,7 @@ def test_nonfinite_integrand_exits_2_without_a_traceback(t1):
     assert proc.returncode == 2, proc.stderr
     assert "numerical failure" in proc.stderr and "non-finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_sweep_over_temperature_warns_for_the_hottest_grid_point(tmp_path, capsys):

@@ -107,6 +107,62 @@ def test_nonfinite_integrand_reported_with_coordinates():
         riemann_2d(bad, grid)
 
 
+def test_blocks_stay_within_the_node_budget():
+    """Block rows follow n_x, so a wide inner grid cannot make huge temporaries.
+
+    At most 2^16 nodes per x-segment: each float64 temporary stays within
+    512 KiB, where 256 rows of 16384 made 32 MiB ones.
+    """
+    grid = GridSpec(omega_max=1.0, n_omega=64, n_x=16384)
+    budget = oracle_module._BLOCK_NODES
+    assert budget <= 1 << 16
+    for edges, segments in ((None, 1), (lambda om: np.tile([-1.0, -0.25, 0.5, 1.0], (om.size, 1)), 3)):
+        sizes = []
+
+        def counting(om, x):
+            sizes.append(x.size)
+            return np.ones_like(x)
+
+        assert riemann_2d(counting, grid, x_edges_fn=edges) == pytest.approx(2.0, rel=1e-13)
+        assert max(sizes) <= budget * segments
+        assert sum(sizes) == 64 * segments * 16384
+
+
+def test_nonfinite_sample_in_one_row_of_a_later_block_is_named():
+    grid = GridSpec(omega_max=1.0, n_omega=64, n_x=16384)
+    assert max(1, oracle_module._BLOCK_NODES // grid.n_x) > 1  # the NaN row shares its block
+    row, col = 37, 5000
+    om_bad = (row + 0.5) / 64
+    x_bad = -1.0 + 2.0 * (col + 0.5) / 16384
+
+    def planted(om, x):
+        hit = (np.abs(om - om_bad) < 0.25 / 64) & (np.abs(x - x_bad) < 0.25 / 16384)
+        return np.where(hit, np.nan, 1.0)
+
+    with pytest.raises(OracleError) as err:
+        riemann_2d(planted, grid)
+    om_seen, x_seen = map(float, re.findall(r"= (\S+?)(?:,|$)", str(err.value)))
+    assert om_seen == pytest.approx(om_bad, rel=1e-14)
+    assert x_seen == pytest.approx(x_bad, rel=1e-12)
+
+
+def test_infinite_sample_on_a_zero_width_segment_is_named():
+    """inf times a zero weight is nan, so the block sum still catches it."""
+    grid = GridSpec(omega_max=1.0, n_omega=64, n_x=64)
+
+    def edges(om):
+        return np.tile([-1.0, 0.0, 0.0, 1.0], (om.size, 1))
+
+    with pytest.raises(OracleError, match=r"x = 0\.0$"):
+        riemann_2d(lambda om, x: np.where(x == 0.0, np.inf, 1.0), grid, x_edges_fn=edges)
+
+
+def test_overflowing_sum_of_finite_samples_raises():
+    grid = GridSpec(omega_max=1.0, n_omega=64, n_x=64)
+    with pytest.raises(OracleError, match="overflow"):
+        riemann_2d(lambda om, x: np.full(x.shape, 1e308), grid)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(omega_max=0.0)
@@ -153,6 +209,40 @@ def test_oracle_drag_matches_rest_force_route():
     drag = oracle_value("drag_combination", beta, 0.0, 1.0, model, drag_grid)
     rest = oracle_value("force_rest_frame", beta, 0.0, 1.0, model, rest_grid)
     assert drag == pytest.approx(rest, rel=2e-6)
+
+
+def _full_domain_sum(prob, grid):
+    """The sum over [0, omega_max] x [-1, 1], with -1 and +1 around the band edges."""
+    band = prob.x_edges_fn
+    full = None if band is None else (
+        lambda om: np.column_stack([-np.ones_like(om), band(om), np.ones_like(om)]))
+    return riemann_2d(prob.integrand, grid, omega_edges=prob.omega_edges, x_edges_fn=full)
+
+
+@pytest.mark.parametrize("observable, beta, t1", [
+    ("force_lab", 0.5, 0.0),
+    ("force_lab", 0.5, 2.0),
+    ("drag_combination", 0.3, 0.0),
+    ("force_rest_frame", 0.4, 0.0),
+    ("heating_rate", 0.0, 2.0),
+])
+def test_band_domain_drops_only_exact_zeros(observable, beta, t1):
+    """Summing only where alpha'' can be nonzero keeps the full-domain sum.
+
+    The band starts at the lowest kink and the x range is the band between
+    the jump loci; the dropped nodes are exact zeros, so only the
+    summation order, and with it the last ulps, can change.
+    """
+    model = TopHat(1.0, 0.5, 1.5)
+    prob = oracle_module.oracle_problem(observable, beta, t1, 1.0, model)
+    assert prob.omega_min == min(prob.omega_edges) > 0.0
+    grid = GridSpec(prob.omega_max, n_omega=256, n_x=256)
+    restricted = riemann_2d(prob.integrand, grid, omega_min=prob.omega_min,
+                            omega_edges=prob.omega_edges, x_edges_fn=prob.x_edges_fn)
+    full = _full_domain_sum(prob, grid)
+    assert restricted != 0.0
+    assert abs(restricted - full) <= 4 * math.ulp(full)
+    assert restricted == oracle_value(observable, beta, t1, 1.0, model, grid)
 
 
 # ------------------------------------------------------------ golden minting
