@@ -171,8 +171,9 @@ def _doppler_integral(weight, prefs: tuple, beta: float, t1: float, t2: float,
     and w_e/gamma; w runs from lo/(gamma*(1+beta)) to hi/(gamma*(1-beta)),
     where a''(w_b) can be nonzero, and s over the one segment where w_b
     lies in the support (_support_edges).  The seed ladder starts at the
-    lowest scale min(T2, T1/D) of the terms that do not underflow and ends
-    at the cutoff or the last kink.  An exact zero comes back as +0.0.
+    lowest scale min(T2, T1/D) of the terms that do not underflow and runs
+    to the cutoff; integrate_1d drops the seeds past the last kink.  An
+    exact zero comes back as +0.0.
     """
     g = lorentz_gamma(beta)
     at = _rapidity_map(beta)
@@ -208,9 +209,8 @@ def _doppler_integral(weight, prefs: tuple, beta: float, t1: float, t2: float,
     lowest = min((t for t, d in ((t2, t2), (t1 / blue, t1 * blue))
                   if spec.u_max * d >= _OMEGA_DOMAIN_FLOOR), default=math.inf)
     kinks = [w_e / (g * f) for w_e in support(model) for f in (1.0 + beta, 1.0, 1.0 - beta)]
-    stop = min(spec.u_max * decay, kinks[-1])
     q = integrate_omega_x(kern, decay, spec, (kinks[0], kinks[-1]), _support_edges(model, beta),
-                          outer_seeds=(*kinks, *_seed_ladder(lowest, stop, model)))
+                          outer_seeds=(*kinks, *_seed_ladder(lowest, spec.u_max * decay, model)))
     value, error = np.broadcast_to(q.value, len(prefs)), np.broadcast_to(q.error, len(prefs))
     return tuple(Quantity(p * float(v) + 0.0, abs(p) * float(e), _diag(q, g, beta))
                  for p, v, e in zip(prefs, value, error))
@@ -284,10 +284,8 @@ def force_rest_frame_alt(
     # The occupation argument spans [w/D, D w], D = sqrt((1+b)/(1-b)): the
     # tail decays over D T2 and the lowest thermal scale is T2/D; w spans the support.
     blue = math.sqrt((1.0 + b) / (1.0 - b))
-    lo, hi = support(model)
-    stop = min(spec.u_max * t2 * blue, hi)
-    q = integrate_omega_x(kern, t2 * blue, spec, (lo, hi),
-                          outer_seeds=_seed_ladder(t2 / blue, stop, model))
+    q = integrate_omega_x(kern, t2 * blue, spec, support(model),
+                          outer_seeds=_seed_ladder(t2 / blue, spec.u_max * t2 * blue, model))
     return Quantity(_PREF * q.value, _PREF * q.error, _diag(q, g, b))
 
 

@@ -10,29 +10,30 @@ The (1 - C_s*T1) factor corrects for the heat that reappears as rest
 mass; it is dropped when C_s*T1 < 1e-12 (the regimes of interest have
 C_s*T1 << 1, and a warning fires when it exceeds 1e-6).
 
-F' and Qdot are the production 1D integrals over the rest-frame
-frequency (observables module docstring), one each per right-hand-side
-evaluation.  The stepper is an embedded Runge-Kutta 4(5) pair
+F', the lab force F_x and Qdot are the production 1D integrals over
+the rest-frame frequency (observables module docstring), read at each
+state in that order: F' and F_x share the bath pass and F_x and Qdot
+P(T1), so a right-hand-side evaluation makes two integrals (four where
+Qdot refines).  The stepper is an embedded Runge-Kutta 4(5) pair
 (Dormand-Prince via scipy, imported when a trajectory starts) driven
 step by step.
 
 The radiated energy E rides along as the last integrated variable,
-dE/dt = I = -(Qdot + beta*F_x) with F_x = F' + gamma^2*beta*Qdot: the
-energy-balance identity applied to the same two rates, so it costs no
-further integral.  It is excluded from the step controller's error
-norm, so the steps are those of the physical variables alone.  At every
-accepted step the instantaneous balance |I_2D - I| is evaluated with an
-independent quadrature, the 2D lab-frame Doppler integral I_2D
-(consistency._net_intensity), and must pass verify_all's energy-balance
-check (consistency._energy_balance): the tolerance comes from the error
-estimates of I_2D, Qdot and F_x, the last F'.err + gamma^2 beta Qdot.err,
-the rule verify applies; in full mode I equals -d(gamma*m)/dt, the
-statement that kinetic-plus-rest energy is lost exactly at the radiated
-rate.  The reported radiated energy is
-E(t_end) plus the trapezoid of the small difference I_2D - I over the
-accepted points, so the 2D quadrature enters only as a correction and
-the global bookkeeping |Delta(gamma*m) + Int I dt| is limited by the
-ODE tolerances rather than by the sampling of I.
+dE/dt = I = -(Qdot + beta*F_x): the energy-balance identity applied to
+the production rates, so it costs no further integral.  It is excluded
+from the step controller's error norm, so the steps are those of the
+physical variables alone.  At every accepted step the instantaneous
+balance |I_2D - I| is evaluated with an independent quadrature, the 2D
+lab-frame Doppler integral I_2D (consistency._net_intensity), and must
+pass verify_all's energy-balance check (consistency._energy_balance) on
+the same values, so the monitor stops exactly where verify fails; the
+frame relation F' = F_x - gamma^2*beta*Qdot is left to verify.  In full
+mode I equals -d(gamma*m)/dt, the statement that kinetic-plus-rest
+energy is lost exactly at the radiated rate.  The reported radiated
+energy is E(t_end) plus the trapezoid of the small difference I_2D - I
+over the accepted points, so the 2D quadrature enters only as a
+correction and the global bookkeeping |Delta(gamma*m) + Int I dt| is
+limited by the ODE tolerances rather than by the sampling of I.
 
 Modes: ``full`` integrates all three variables; ``quasi-static-T1``
 pins T1 = T1*(beta), the zero of Qdot(T1) = Qdot(0) - P(T1)/gamma^2
@@ -65,6 +66,7 @@ from .observables import (
     Quantity,
     _emitted_power,
     drag_combination,
+    force_lab,
     heating_rate,
 )
 from .polarizability import PolarizabilityModel
@@ -215,18 +217,6 @@ def _equations_of_motion(
     return dbeta, dmass, dtemp
 
 
-def _lab_force_and_intensity(beta: float, fp: Quantity, qd: Quantity) -> tuple[Quantity, float]:
-    """(F_x, I) from F' and Qdot: F_x = F' + gamma^2 beta Qdot, I = -(Qdot + beta F_x).
-
-    The energy-balance identity on the two rates; evolve integrates this
-    I and checks it against the independent 2D _net_intensity.  F_x
-    carries the error F'.err + gamma^2 beta Qdot.err.
-    """
-    g = lorentz_gamma(beta)
-    f_lab = Quantity(fp.value + g * g * beta * qd.value, fp.error + g * g * beta * qd.error)
-    return f_lab, -(qd.value + beta * f_lab.value)
-
-
 @lru_cache(maxsize=1024)
 def _equilibrium_cached(
     beta: float,
@@ -334,10 +324,12 @@ def evolve(
                     "integrated far outside its regime"
                 )
             st = ParticleState(b, m, max(t1, 0.0))
+            # force_lab before heating_rate: a refinement there replaces both memos.
             fp = drag_combination(st, bath, model, spec)
+            f_lab = force_lab(st, bath, model, spec)
             qd = heating_rate(st, bath, model, spec)
             last.clear()
-            last[key] = (st, fp, qd, *_lab_force_and_intensity(b, fp, qd))
+            last[key] = (st, fp, qd, f_lab, -(qd.value + b * f_lab.value))
         return last[key]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:

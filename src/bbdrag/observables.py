@@ -55,9 +55,13 @@ verification route, in consistency.  Li2 is summed by its series in
 e^{-y} above y = ln 4 and its Bernoulli series in y below (Lewin 1981),
 without scipy.
 
-_bath_terms memoizes its last call: evolve's right-hand side asks for
-drag_combination and then heating_rate at one state, and the two share
-one pass.  Memoized Quantities are shared objects, as is the
+Both 1D integrals keep their last result (_bath_terms and
+_emitted_power): evolve's right-hand side asks for drag_combination,
+force_lab and then heating_rate at one state, and the three share one
+pass and one P(T1); verify_all right after evaluate_bundle at the same
+point makes no 1D integral.  A refinement in heating_rate replaces
+both memos, so a call after it at the caller's spec evaluates them
+again.  Memoized Quantities are shared objects, as is the
 diagnostics dict of one pass; no code mutates a returned diagnostics
 dict.  evaluate_bundle composes every member from P(T1) and one pass
 (_force_lab, _heating_rate, _intensity, _drag), bitwise equal to the
@@ -239,6 +243,7 @@ def _integrate_thermal(integrand, prefs: tuple, lowest: float, decay: float,
                  for p, v, e in zip(prefs, np.atleast_1d(q.value), np.atleast_1d(q.error)))
 
 
+@lru_cache(maxsize=1)
 def _emitted_power(t1: float, model: PolarizabilityModel, spec: QuadratureSpec) -> Quantity:
     """P(T1) = (4/pi) Int w^4 a''(w) n(w, T1) dw, the rest-frame emitted power.
 

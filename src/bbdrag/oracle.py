@@ -370,9 +370,9 @@ def mint_golden(case: dict, n_omega: int | None = None, n_x: int | None = None) 
     """
     case_grid = case.get("grid", {})
     if n_omega is None:
-        n_omega = case_grid.get("n_omega", 2048)
+        n_omega = case_grid.get("n_omega", GridSpec.n_omega)
     if n_x is None:
-        n_x = case_grid.get("n_x", 1024)
+        n_x = case_grid.get("n_x", GridSpec.n_x)
     model = model_from_dict(case["model"])
     prob = oracle_problem(case["observable"], case["beta"], case["t1"], case["t2"], model)
     base_grid = GridSpec(prob.omega_max, n_omega, n_x)

@@ -13,6 +13,7 @@ from scipy.interpolate import CubicHermiteSpline
 from bbdrag import (
     BathSpec,
     BracketError,
+    DynamicsError,
     EvolveConfig,
     LorentzOscillator,
     MaterialThermo,
@@ -198,6 +199,50 @@ def test_evolve_config_validation():
         EvolveConfig(t_end=1.0, output_stride=0)
     with pytest.raises(ValueError):
         EvolveConfig(t_end=1.0, beta_stop=1.5)
+
+
+def test_evolve_config_rejects_bad_steps_and_tolerances():
+    with pytest.raises(ValueError, match="^initial_step must be positive"):
+        EvolveConfig(t_end=1.0, initial_step=0.0)
+    with pytest.raises(ValueError, match="^abs_tol must be positive"):
+        EvolveConfig(t_end=1.0, abs_tol=-1e-10)
+    with pytest.raises(ValueError, match="^max_step must be positive"):
+        EvolveConfig(t_end=1.0, max_step=0.0)
+
+
+def test_quasi_static_mode_needs_a_warm_bath():
+    state = ParticleState(beta=0.5, mass=100.0, temperature=1.0)
+    cfg = EvolveConfig(t_end=1.0, mode="quasi-static-T1")
+    with pytest.raises(ValueError, match="^quasi-static-T1 mode needs T2 > 0"):
+        quiet_evolve(state, BathSpec(0.0), BAND, THERMO, cfg, SPEC)
+
+
+def _planted_mass_rate(monkeypatch, rate):
+    """Replace dm/dt by rate(m) in the equations of motion."""
+    eom = dynamics._equations_of_motion
+
+    def planted(state, *args):
+        dbeta, _, dtemp = eom(state, *args)
+        return dbeta, rate(state.mass), dtemp
+
+    monkeypatch.setattr(dynamics, "_equations_of_motion", planted)
+
+
+def test_a_mass_driven_through_zero_stops_the_run(monkeypatch):
+    _planted_mass_rate(monkeypatch, lambda m: -1e6)
+    state = ParticleState(beta=0.5, mass=100.0, temperature=1.0)
+    with pytest.raises(DynamicsError, match="^mass became non-positive"):
+        quiet_evolve(state, BATH, BAND, THERMO, EvolveConfig(t_end=1.0, monitor=False), SPEC)
+
+
+def test_step_size_underflow_stops_the_run(monkeypatch):
+    """dm/dt = m^2 blows up at t = 1/m0 = 0.01, where the step falls below
+    the spacing of the floats near t."""
+    _planted_mass_rate(monkeypatch, lambda m: m * m)
+    state = ParticleState(beta=0.5, mass=100.0, temperature=1.0)
+    cfg = EvolveConfig(t_end=1.0, rel_tol=1e-6, monitor=False)
+    with pytest.raises(DynamicsError, match="^step-size underflow at t = 0.01: "):
+        quiet_evolve(state, BATH, BAND, THERMO, cfg, SPEC)
 
 
 def test_ode_tolerance_must_dominate_quadrature_noise():
@@ -413,17 +458,23 @@ def test_monitor_raises_on_a_planted_1e_9_fault(monkeypatch):
         quiet_evolve(HOT_START, BATH, BAND, THERMO, EvolveConfig(t_end=0.5), SPEC)
 
 
-@pytest.mark.parametrize("model, beta, passes", [
-    pytest.param(LORENTZ, 0.96, True, id="0.96-True"),
-    pytest.param(Ohmic(1.0, 5.0), 1.0 - 1e-6, False, id="0.999999-False"),
+@pytest.mark.parametrize("model, beta, t1, passes", [
+    pytest.param(LORENTZ, 0.96, 0.5, True, id="0.96-True"),
+    pytest.param(Ohmic(1.0, 5.0), 1.0 - 1e-6, 0.5, False, id="0.999999-False"),
+    pytest.param(LORENTZ, 0.999, 0.0, True, id="lorentz-0.999-T1=0-True"),
+    pytest.param(LORENTZ, 1.0 - 1e-6, 0.0, False, id="lorentz-0.999999-T1=0-False"),
 ])
-def test_monitor_stops_where_verify_fails(model, beta, passes):
+def test_monitor_stops_where_verify_fails(model, beta, t1, passes):
     """evolve raises at t = 0 iff verify_all's energy-balance check fails there.
 
     At beta = 1 - 1e-6 the 2D route misses (ROADMAP F2): Ohmic (1, 5)
-    has an energy-balance residual about 100 times its tolerance.
+    has an energy-balance residual about 100 times its tolerance, and
+    Lorentz at T1 = 0 about 60 times.  The monitor's tolerance is verify's
+    because both read F_x from force_lab: with F_x composed as F' +
+    gamma^2 beta Qdot its error, 1e4 times force_lab's, let the cold
+    Lorentz run pass.
     """
-    state = ParticleState(beta=beta, mass=100.0, temperature=0.5)
+    state = ParticleState(beta=beta, mass=100.0, temperature=t1)
     check = verify_all(state, BATH, model, SPEC).checks[0]
     assert check.name == "energy-balance" and check.passed is passes
     cfg = EvolveConfig(t_end=1.0)

@@ -271,6 +271,18 @@ def test_nonfinite_integrand_at_the_cutoff_reported():
         integrate_1d(lambda x: np.where(x < 1.0, x, np.nan), 0.0, 1.0, SPEC, decay=0.1)
 
 
+def test_an_integrand_of_the_wrong_shape_rejected():
+    with pytest.raises(ValueError, match="^integrand returned shape"):
+        integrate_1d(lambda x: np.zeros(3), 0.0, 1.0, SPEC)
+
+
+def test_panels_collapsed_to_machine_width_reported():
+    """A non-integrable peak between two floats keeps its panel's defect
+    above target until the panel cannot be halved."""
+    with pytest.raises(QuadratureConvergenceError, match="^panels have collapsed to machine"):
+        integrate_1d(lambda x: 1.0 / ((x - 0.5) - 1e-30) ** 2, 0.0, 1.0, SPEC)
+
+
 def test_invalid_bounds_rejected():
     with pytest.raises(ValueError):
         integrate_1d(lambda x: x, 1.0, 0.0, SPEC)

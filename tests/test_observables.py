@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -73,6 +74,7 @@ def integrals(monkeypatch):
 
 def _cold():
     observables._bath_terms.cache_clear()
+    observables._emitted_power.cache_clear()
 
 
 @pytest.mark.parametrize("t1, bundle_integrals, verify_integrals", [(0.5, 2, 2), (0.0, 1, 1)])
@@ -120,6 +122,24 @@ def test_the_drag_then_the_heating_rate_share_one_bath_pass(integrals):
             drag_combination(state, bath, model, SPEC)
             heating_rate(state, bath, model, SPEC)
             assert len(integrals) == 2, (type(model).__name__, beta)
+
+
+def test_every_order_of_the_observables_shares_p_and_one_bath_pass(integrals):
+    """Both 1D integrals keep their last result: at a state where the heating
+    rate does not refine, any order of the observables makes P(T1) and one
+    bath pass, and verify_all right after evaluate_bundle makes none."""
+    state, bath, model = ParticleState(0.5, 1.0, 0.5), BathSpec(1.0), REFERENCE_MODELS[0]
+    calls = (force_lab, heating_rate, intensity, drag_combination, force_rest_frame,
+             evaluate_bundle)
+    for order in itertools.permutations(calls):
+        _cold()
+        integrals.clear()
+        for fn in order:
+            fn(state, bath, model, SPEC)
+        assert len(integrals) == 2, [fn.__name__ for fn in order]
+    integrals.clear()
+    verify_all(state, bath, model, SPEC)
+    assert integrals == []
 
 
 def test_every_value_is_the_same_with_the_bath_memo_cold_or_warm():
@@ -390,6 +410,15 @@ def test_no_sample_at_a_cutoff_above_the_band(monkeypatch):
         assert monitor.diagnostics["neval"] % outer == 0, beta
         smooth = _net_intensity(state, bath, Ohmic(slope=1.0, omega_c=5.0), SPEC)
         assert smooth.diagnostics["neval"] % outer == _INNER_NODES, beta
+
+
+def test_low_speed_form_rejects_its_domain_errors():
+    model = Ohmic(1.0, 5.0)
+    for beta in (0.0, 0.2):
+        with pytest.raises(ValueError, match=r"^low-speed form needs beta in \(0, 0.1\]"):
+            force_rest_frame_nr(beta, BathSpec(1.0), model, SPEC)
+    with pytest.raises(ValueError, match="^low-speed form needs a bath temperature T2 > 0"):
+        force_rest_frame_nr(0.05, BathSpec(0.0), model, SPEC)
 
 
 def test_diagnostics_present():
