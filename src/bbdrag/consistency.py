@@ -32,11 +32,11 @@ net intensity, the lab force and the two spontaneous terms
 direct rest force from a second, and every 1D value from one
 evaluate_bundle, so each relation checks one route against the other;
 the force term meets -beta*P(T1) from the bundle.  The trajectory
-monitor takes the net intensity alone (_net_intensity).  Every check
-compares independent quadratures, so the acceptance threshold is tied
-to their error estimates: pass iff residual <= max(10 * RSS(error
-estimates), ABS_FLOOR), never a bare epsilon.  ABS_FLOOR = 1e-12
-internal units absorbs exact-zero cases.
+monitor takes the net intensity alone (_net_intensity).  Every residual
+check (_check) compares a Quantity with a signed sum of Quantities and
+passes iff residual <= max(10 * RSS, ABS_FLOOR), the RSS taken over the
+error of every term on both sides times |its coefficient|, never a bare
+epsilon.  ABS_FLOOR = 1e-12 internal units absorbs exact-zero cases.
 """
 
 from __future__ import annotations
@@ -87,11 +87,13 @@ class ConsistencyReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _residual_check(name: str, lhs: float, rhs: float, *errors: float) -> IdentityCheck:
-    residual = abs(lhs - rhs)
-    combined = math.sqrt(sum(e * e for e in errors))
+def _check(name: str, lhs: Quantity, *rhs: tuple[float, Quantity]) -> IdentityCheck:
+    """lhs against sum(c * term) over rhs; the RSS takes lhs's and every |c| * term's error."""
+    value = sum(c * t.value for c, t in rhs)
+    residual = abs(lhs.value - value)
+    combined = math.sqrt(sum(e * e for e in (lhs.error, *(abs(c) * t.error for c, t in rhs))))
     tol = max(10.0 * combined, ABS_FLOOR)
-    return IdentityCheck(name, lhs, rhs, residual, combined, tol, residual <= tol)
+    return IdentityCheck(name, lhs.value, value, residual, combined, tol, residual <= tol)
 
 
 def _sign_check(name: str, quantity: Quantity) -> IdentityCheck:
@@ -103,17 +105,7 @@ def _sign_check(name: str, quantity: Quantity) -> IdentityCheck:
 
 def _energy_balance(b: float, net: Quantity, f: Quantity, q: Quantity) -> IdentityCheck:
     """The net intensity against -(Qdot + beta * F_x), for verify_all and the trajectory monitor."""
-    return _residual_check(
-        "energy-balance", net.value, -(q.value + b * f.value), net.error, q.error, b * f.error
-    )
-
-
-def _frame_force(name: str, b: float, lhs: Quantity, f: Quantity, q: Quantity) -> IdentityCheck:
-    """lhs against the composition F_x - gamma^2 * beta * Qdot."""
-    g = lorentz_gamma(b)
-    return _residual_check(
-        name, lhs.value, f.value - g * g * b * q.value, lhs.error, f.error, g * g * b * q.error
-    )
+    return _check("energy-balance", net, (-1.0, q), (-b, f))
 
 
 def _diag(q: QuadResult, gamma: float, beta: float) -> dict:
@@ -305,8 +297,7 @@ class SpontaneousTerms:
 
 
 def _cancellation(force_term: Quantity, drift_term: Quantity) -> IdentityCheck:
-    return _residual_check("spontaneous-term-cancellation", force_term.value, drift_term.value,
-                           force_term.error, drift_term.error)
+    return _check("spontaneous-term-cancellation", force_term, (1.0, drift_term))
 
 
 def spontaneous_term_cancellation(
@@ -355,7 +346,8 @@ def verify_all(
     split (P(T1) - I2 against the net I), and the sign constraints on
     the drag and the direct rest force.
     """
-    b, t1 = state.beta, state.temperature
+    b, g = state.beta, lorentz_gamma(state.beta)
+    g2b = g * g * b
     # Read through its module, where perfbench's tracer wraps it.
     bundle = observables.evaluate_bundle(state, bath, model, spec)
     f, q, drag = bundle.force_lab, bundle.heating_rate, bundle.force_rest_frame
@@ -365,14 +357,12 @@ def verify_all(
 
     checks = (
         _energy_balance(b, net, f, q),
-        _frame_force("frame-force-relation", b, fp, f, q),
+        _check("frame-force-relation", fp, (1.0, f), (-g2b, q)),
         _cancellation(force_term, drift_term),
-        _residual_check("spontaneous-term-reduction", force_term.value,
-                        0.0 if t1 == 0.0 or b == 0.0 else -b * emitted.value, force_term.error),
-        _residual_check("rest-force-dual-form", fp.value, drag.value, fp.error, drag.error),
-        _frame_force("drag-composition", b, drag, f_2d, q),
-        _residual_check("intensity-split", net.value, emitted.value - absorbed.value,
-                        net.error, emitted.error, absorbed.error),
+        _check("spontaneous-term-reduction", force_term, (-b, emitted)),
+        _check("rest-force-dual-form", fp, (1.0, drag)),
+        _check("drag-composition", drag, (1.0, f_2d), (-g2b, q)),
+        _check("intensity-split", net, (1.0, emitted), (-1.0, absorbed)),
         _sign_check("drag-sign", drag),
         _sign_check("rest-force-sign", fp),
     )

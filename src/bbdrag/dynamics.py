@@ -225,9 +225,11 @@ def _equilibrium_cached(
     spec: QuadratureSpec,
     rel_tol: float,
 ) -> float:
+    blue = math.sqrt((1.0 + beta) / (1.0 - beta))
+    if blue - 1.0 <= rel_tol:
+        return t2  # from beta ~ 2e-16 down, the bracket rounds to one point
     from scipy.optimize import brentq
 
-    blue = math.sqrt((1.0 + beta) / (1.0 - beta))
     lo = t2 / blue
     hi = t2 * blue
     g2 = lorentz_gamma(beta) ** 2
@@ -263,14 +265,15 @@ def equilibrium_temperature(
     Doppler temperatures T2*sqrt((1-b)/(1+b)) and T2*sqrt((1+b)/(1-b)):
     at those values the occupation comparison is one-sided for every
     direction, so Qdot has opposite strict signs at the ends for any
-    nonzero passive model.
+    nonzero passive model.  Where D = sqrt((1+b)/(1-b)) has D - 1 <= rel_tol
+    (beta = 0 too), the whole bracket meets rel_tol and T2 is returned.
     """
     _check_beta(beta)
     t2 = bath.temperature
     if t2 <= 0.0:
         raise ValueError("equilibrium temperature needs a bath with T2 > 0")
-    if beta == 0.0:
-        return t2
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
     return _equilibrium_cached(float(beta), float(t2), model, spec, float(rel_tol))
 
 

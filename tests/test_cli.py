@@ -322,6 +322,13 @@ def test_equilibrium_temp_at_rest_is_bath_temperature(tmp_path, capsys):
     assert row["si_unit"] == "K"
 
 
+def test_equilibrium_temp_below_the_rounding_of_the_doppler_factor(tmp_path, capsys):
+    """At beta = 1e-17 the bracket [T2/D, T2*D] is one point; T1* is T2."""
+    doc = run_json(["equilibrium-temp", "--beta", "1e-17", "--t2", "1"], tmp_path, capsys)
+    (row,) = doc["rows"]
+    assert row["value"] == 1.0
+
+
 def test_equilibrium_temp_converges_for_ohmic_near_its_root(tmp_path, capsys):
     # The heating rate at T1* cancels to about 1e-8 here; the CLI used to
     # exit 2 asking for an absolute 1e-14 below the rounding floor of its
@@ -493,6 +500,15 @@ def test_verify_passes_and_reports_si_residuals(tmp_path, capsys):
     for check in doc["checks"]:
         assert check["passed"] is True
         assert "residual_si" in check and "si_unit" in check
+
+
+@pytest.mark.parametrize("beta", ["0.3", "0.5"])
+def test_verify_passes_for_the_cutoff_free_ohmic_model(tmp_path, capsys, beta):
+    """Exit 3 here while the reduction check left out the error of P(T1)."""
+    path = write_cfg(tmp_path, {"model": {"type": "ohmic", "slope": 1.0}})
+    doc = run_json(["verify", "--config", path, "--beta", beta, "--t1", "0.5", "--t2", "1"],
+                   tmp_path, capsys)
+    assert doc["passed"] is True
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

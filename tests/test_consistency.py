@@ -9,6 +9,7 @@ import pytest
 
 from bbdrag import (
     BathSpec,
+    Ohmic,
     ParticleState,
     QuadratureSpec,
     drag_combination,
@@ -181,6 +182,86 @@ def test_a_skewed_2d_term_fails_the_checks_that_read_it(monkeypatch, term, readi
             assert check.residual > 100.0 * check.tolerance, check.name
         else:
             assert check.passed, check.name
+
+
+def _rss(*errors):
+    return math.sqrt(sum(e * e for e in errors))
+
+
+@pytest.mark.parametrize("model, beta, t1, t2", [
+    (Ohmic(1.0, None), 0.3, 0.5, 1.0),
+    (REFERENCE_MODELS[0], 0.6, 3.0, 1.0),
+    (REFERENCE_MODELS[2], 0.9, 2.0, 0.5),
+], ids=("ohmic-no-cutoff", "lorentz", "tophat"))
+def test_every_check_counts_the_error_of_every_term_it_reads(model, beta, t1, t2):
+    """Each residual check's combined error is the RSS of all its terms' errors.
+
+    Recomputed from the Quantities verify_all reads, each scaled by the
+    magnitude of its coefficient in the identity; the reduction's holds
+    beta times P(T1)'s error beside the 2D force term's.
+    """
+    from bbdrag.consistency import _doppler_terms, force_rest_frame_alt
+    from bbdrag.observables import evaluate_bundle
+
+    state, bath = ParticleState(beta, 1.0, t1), BathSpec(t2)
+    bundle = evaluate_bundle(state, bath, model, SPEC)
+    f, q, drag = bundle.force_lab, bundle.heating_rate, bundle.force_rest_frame
+    emitted, absorbed = bundle.intensity_emitted, bundle.intensity_absorbed
+    net, f_2d, force_term, drift_term = _doppler_terms(state, bath, model, SPEC)
+    fp = force_rest_frame_alt(state, bath, model, SPEC)
+    g2b = lorentz_gamma(beta) ** 2 * beta
+    expected = {
+        "energy-balance": _rss(net.error, q.error, beta * f.error),
+        "frame-force-relation": _rss(fp.error, f.error, g2b * q.error),
+        "spontaneous-term-cancellation": _rss(force_term.error, drift_term.error),
+        "spontaneous-term-reduction": _rss(force_term.error, beta * emitted.error),
+        "rest-force-dual-form": _rss(fp.error, drag.error),
+        "drag-composition": _rss(drag.error, f_2d.error, g2b * q.error),
+        "intensity-split": _rss(net.error, emitted.error, absorbed.error),
+    }
+    checks = {c.name: c for c in verify_all(state, bath, model, SPEC).checks}
+    for name, rss in expected.items():
+        assert checks[name].combined_error == pytest.approx(rss, rel=1e-14), name
+        assert checks[name].tolerance == max(10.0 * checks[name].combined_error, 1e-12), name
+
+
+# The cutoff-free Ohmic grid: every value meets its exact closed form
+# within its own error here, and the reduction failed at two points
+# (beta 0.3 and 0.5, T1 0.5, T2 1) while its RSS left out P(T1)'s error.
+OHMIC_GRID = [(b, t1, t2) for b in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+              for t1 in (0.5, 1.0, 2.0) for t2 in (0.5, 1.0)]
+
+
+def test_verify_passes_for_the_cutoff_free_ohmic_model():
+    assert _failed_checks(Ohmic(1.0, None), OHMIC_GRID) == []
+
+
+@pytest.mark.parametrize("beta", (0.3, 0.5))
+def test_a_skewed_emitted_power_fails_the_reduction(monkeypatch, beta):
+    """A 1e-9 relative skew of the bundle's P(T1) fails the reduction.
+
+    The reduction's tolerance holds beta times P(T1)'s error (cutoff-free
+    Ohmic, T1 0.5, T2 1: about 1.7e-11 of P = 2.4); the skew still moves
+    its rhs by more than ten times that tolerance.
+    """
+    import dataclasses
+
+    import bbdrag.observables as observables
+
+    original = observables.evaluate_bundle
+
+    def skewed(*args, **kwargs):
+        bundle = original(*args, **kwargs)
+        emitted = bundle.intensity_emitted
+        return dataclasses.replace(bundle, intensity_emitted=dataclasses.replace(
+            emitted, value=emitted.value * (1.0 + 1e-9)))
+
+    state, bath, model = ParticleState(beta, 1.0, 0.5), BathSpec(1.0), Ohmic(1.0, None)
+    assert _reduction(state, bath, model).passed
+    monkeypatch.setattr(observables, "evaluate_bundle", skewed)
+    check = _reduction(state, bath, model)
+    assert not check.passed
+    assert check.residual > 10.0 * check.tolerance
 
 
 def test_emitted_power_matches_the_reduced_force():

@@ -11,6 +11,7 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 
 from bbdrag import (
+    BETA_MAX,
     BathSpec,
     BracketError,
     DynamicsError,
@@ -105,6 +106,35 @@ def test_equilibrium_is_bath_temperature_at_rest():
         assert equilibrium_temperature(0.0, BATH, model, SPEC) == 1.0
 
 
+@pytest.mark.parametrize("beta", (1e-300, 1e-17, 2e-16, 1e-9))
+def test_equilibrium_is_bath_temperature_where_the_doppler_bracket_meets_the_tolerance(beta):
+    """Where D - 1 <= rel_tol, T1* is T2 itself.
+
+    Below beta ~ 2e-16 the bracket [T2/D, T2*D] rounds to one point, and
+    the solve raised "not bracketed" for every model from beta = 1.1e-16
+    down.
+    """
+    for model, t2 in itertools.product(REFERENCE_MODELS, (0.3, 1.0, 3.0)):
+        assert equilibrium_temperature(beta, BathSpec(t2), model, SPEC) == t2
+
+
+def test_equilibrium_meets_the_exact_cutoff_free_ohmic_form():
+    """For Ohmic(s) without a cutoff, T1* = T2 gamma^(2/3) (1 + 2b^2 + b^4/5)^(1/6).
+
+    P(T1) = c T1^6 and Qdot(0) = c T2^6 gamma^2 (1 + 2b^2 + b^4/5) with the
+    same c, so Qdot(0) = P(T1)/gamma^2 has this root for every slope s.
+    The engine meets it within the solve's rel_tol from beta = 0.01 to
+    BETA_MAX and over six decades of T2.
+    """
+    for s, t2, beta in itertools.product(
+            (1.0, 2.0), (1e-3, 1.0, 1e3),
+            (0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6, BETA_MAX)):
+        g = lorentz_gamma(beta)
+        exact = t2 * g ** (2.0 / 3.0) * (1.0 + 2.0 * beta**2 + beta**4 / 5.0) ** (1.0 / 6.0)
+        got = equilibrium_temperature(beta, BathSpec(t2), Ohmic(s, None), SPEC)
+        assert got == pytest.approx(exact, rel=1e-8), (s, t2, beta)
+
+
 def test_equilibrium_zeroes_the_heating_rate():
     """The production Qdot, A - P(T1)/gamma^2, vanishes at the root brentq found."""
     for model, beta in itertools.product(REFERENCE_MODELS, (0.01, 0.3, 0.7, 0.9)):
@@ -168,6 +198,13 @@ def test_equilibrium_depends_on_the_spectrum():
 def test_equilibrium_cold_bath_rejected():
     with pytest.raises(ValueError, match="bath"):
         equilibrium_temperature(0.5, BathSpec(0.0), BAND, SPEC)
+
+
+@pytest.mark.parametrize("beta", (0.0, 0.3))
+def test_equilibrium_rejects_a_bad_tolerance(beta):
+    for rel_tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            equilibrium_temperature(beta, BATH, BAND, SPEC, rel_tol=rel_tol)
 
 
 def test_equilibrium_bracket_failure_is_reported():
