@@ -38,7 +38,9 @@ limited by the ODE tolerances rather than by the sampling of I.
 Modes: ``full`` integrates all three variables; ``quasi-static-T1``
 pins T1 = T1*(beta), the zero of Qdot(T1) = Qdot(0) - P(T1)/gamma^2
 (one bath-only heating integral, then the root of the monotone 1D
-rest-frame emission P), and integrates (beta, m),
+rest-frame emission P by Brent's method, ported into this module so
+that T1* needs no scipy and equals scipy's brentq root bit for bit), and
+integrates (beta, m),
 removing the fast thermal timescale; ``fixed-velocity`` holds beta and
 integrates (m, T1), the fixed-speed heating problem.  Global energy
 bookkeeping applies to full and quasi-static trajectories; a
@@ -78,6 +80,10 @@ _CORRECTION_CUT = 1e-12
 # C_s*T1 above this deserves a warning: the thermal model neglects
 # higher-order rest-mass feedback of the same size.
 _CORRECTION_WARN = 1e-6
+
+# The smallest rel_tol of the T1* solve, the floor scipy's brentq enforced:
+# a finer tolerance is below the spacing of doubles near the root.
+_REL_TOL_FLOOR = 4.0 * math.ulp(1.0)
 
 # A run ends "steady" once beta is below _STEADY_BETA (kinematically at
 # rest) and T1 is within _STEADY_TEMPERATURE_TOL of T2, relative.
@@ -217,6 +223,48 @@ def _equations_of_motion(
     return dbeta, dmass, dtemp
 
 
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> tuple[float, bool]:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    fa = f(xa) and fb = f(xb) are nonzero and of opposite signs.  The
+    loop of scipy.optimize.brentq's C code, ported line for line: the
+    same arguments give the same bits.  Returns (root, converged);
+    converged is False after maxiter iterations, the root then being the
+    last iterate.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur, False
+
+
 @lru_cache(maxsize=1024)
 def _equilibrium_cached(
     beta: float,
@@ -228,8 +276,6 @@ def _equilibrium_cached(
     blue = math.sqrt((1.0 + beta) / (1.0 - beta))
     if blue - 1.0 <= rel_tol:
         return t2  # from beta ~ 2e-16 down, the bracket rounds to one point
-    from scipy.optimize import brentq
-
     lo = t2 / blue
     hi = t2 * blue
     g2 = lorentz_gamma(beta) ** 2
@@ -247,7 +293,11 @@ def _equilibrium_cached(
             "(need positive at the red-shifted bound, negative at the "
             "blue-shifted bound; a null model has no root)"
         )
-    return float(brentq(qdot, lo, hi, xtol=1e-14 * hi, rtol=rel_tol))
+    root, converged = _brentq(qdot, lo, hi, q_lo, q_hi, 1e-14 * hi, rel_tol)
+    if not converged:
+        raise RuntimeError(f"equilibrium temperature: no convergence at the Brent "
+                           f"iteration cap, last iterate {root!r}")
+    return float(root)
 
 
 def equilibrium_temperature(
@@ -272,8 +322,9 @@ def equilibrium_temperature(
     t2 = bath.temperature
     if t2 <= 0.0:
         raise ValueError("equilibrium temperature needs a bath with T2 > 0")
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
+    if not (math.isfinite(rel_tol) and rel_tol >= _REL_TOL_FLOOR):
+        raise ValueError(f"rel_tol must be positive and at least 4 machine epsilons "
+                         f"({_REL_TOL_FLOOR!r}), got {rel_tol!r}")
     return _equilibrium_cached(float(beta), float(t2), model, spec, float(rel_tol))
 
 

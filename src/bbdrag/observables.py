@@ -308,6 +308,24 @@ def _odd_series(c: np.ndarray, beta: float, g2: float) -> np.ndarray:
     return acc * c + beta * g2 * (g2 - s) * c2
 
 
+@lru_cache(maxsize=1)
+def _x_rule(beta: float) -> tuple[np.ndarray, ...]:
+    """The arrays of _bath_kernel's x-rule that depend on beta alone.
+
+    Over the positive Gauss-Legendre nodes x (paired with -x): u+ and u-,
+    the shift c/u+ - c/u- per unit c, the weights of J0 and M1 at u+ and
+    at u-, and those of K on n(c/u+) - n(c/u-) and on n(c/u-).
+    """
+    x, w = _gl_nodes(_X_NODES)
+    x, w = x[_X_NODES // 2:], w[_X_NODES // 2:]
+    up, um = 1.0 + beta * x, 1.0 - beta * x
+    # u+^-3 - u-^-3 through u-^3 - u+^3 = -2 beta x (u+^2 + u+ u- + u-^2).
+    du = -2.0 * beta * x * (up * up + up * um + um * um) / (up * um) ** 3
+    return (up, um, -2.0 * beta * x / (up * um),
+            np.array([w / up**2, w / up**3]).T, np.array([w / um**2, w / um**3]).T,
+            w * x / up**3, w * x * du)
+
+
 def _bath_kernel(c: np.ndarray, beta: float) -> np.ndarray:
     """Angular integrals of the bath occupation at c = w'/(gamma T2), u = 1 + beta x.
 
@@ -330,20 +348,13 @@ def _bath_kernel(c: np.ndarray, beta: float) -> np.ndarray:
     cancel where c/(1-beta) <= 1; there _odd_series takes over.
     """
     if beta < _CLOSED_FORM_BETA:
-        x, w = _gl_nodes(_X_NODES)
-        x, w = x[_X_NODES // 2:], w[_X_NODES // 2:]
+        up, um, shift, even_up, even_um, odd_up, odd_um = _x_rule(beta)
         c = c[..., None]
-        up, um = 1.0 + beta * x, 1.0 - beta * x
         ym = c / um
         n_up, n_um = _occupation(c / up), _occupation(ym)
-        # n(c/u+) - n(c/u-) through expm1(c/u+ - c/u-), and u+^-3 - u-^-3
-        # through u-^3 - u+^3 = -2 beta x (u+^2 + u+ u- + u-^2).
-        dn = np.expm1(c * (-2.0 * beta * x / (up * um))) * n_up / np.expm1(-ym)
-        du = -2.0 * beta * x * (up * up + up * um + um * um) / (up * um) ** 3
-        # Each kernel's weights at the nodes, applied by @.
-        j0, m1 = np.moveaxis(n_up @ np.array([w / up**2, w / up**3]).T
-                             + n_um @ np.array([w / um**2, w / um**3]).T, -1, 0)
-        k = dn @ (w * x / up**3) + n_um @ (w * x * du)
+        dn = np.expm1(c * shift) * n_up / np.expm1(-ym)
+        j0, m1 = np.moveaxis(n_up @ even_up + n_um @ even_um, -1, 0)
+        k = dn @ odd_up + n_um @ odd_um
         return np.stack([j0, m1, k, k + beta * m1])
 
     g2 = 1.0 / ((1.0 - beta) * (1.0 + beta))

@@ -36,6 +36,19 @@ rounding boundary), not on a guarantee.
 
 The nodes cover only where the integrand can be nonzero; the exact zeros
 dropped elsewhere leave every other node where the full domain puts it.
+
+Block arithmetic: riemann_2d passes blocks of about _BLOCK_NODES nodes
+and weights the samples in the memory of the block's x.  Each integrand
+forms its product left to right in place (numpy's out= and *=) in two
+fresh block arrays, calling alpha_im on up to _ALPHA_NODES nodes (whole
+rows of the block) at a time.  As plain expressions the integrands made
+about ten block arrays per block, and alpha_im as many again; glibc's
+malloc gave that memory back to the system after every block and
+faulted it in again at the next: 1.4 million minor faults in the
+largest builtin mint, whose wall time fell by a third without them.
+Every product keeps the operands and order of the plain expression, so
+each rounding, and with it every sum and stored value, is unchanged to
+the bit.
 """
 
 from __future__ import annotations
@@ -53,6 +66,7 @@ from .polarizability import PolarizabilityModel, TopHat, alpha_im, model_from_di
 _PREF = 2.0 / math.pi
 _TAIL = 40.0  # occupation factors are < 5e-18 beyond omega/T = 40
 _BLOCK_NODES = 1 << 15  # per x-segment: block temporaries stay in L2
+_ALPHA_NODES = 1 << 13  # per alpha_im call in a block: its temporaries stay small
 
 OBSERVABLES = (
     "force_lab",
@@ -92,12 +106,22 @@ class GridSpec:
         return GridSpec(self.omega_max, 2 * self.n_omega, 2 * self.n_x)
 
 
-def photon_number(freq: np.ndarray, temperature: float) -> np.ndarray:
-    """Planck occupation, written independently of the engine's version."""
+def photon_number(freq, temperature: float, out: np.ndarray | None = None):
+    """Planck occupation, written independently of the engine's version.
+
+    Formed in out, which may be freq itself, else in one fresh array; a
+    scalar freq gives a scalar.
+    """
+    y = np.empty(np.shape(freq)) if out is None else out
     if temperature == 0.0:
-        return np.zeros_like(freq)
-    y = np.minimum(freq / temperature, 700.0)
-    return 1.0 / (np.exp(y) - 1.0)
+        y.fill(0.0)
+    else:
+        np.divide(freq, temperature, out=y)
+        np.minimum(y, 700.0, out=y)
+        np.exp(y, out=y)
+        y -= 1.0
+        np.divide(1.0, y, out=y)
+    return y if y.ndim else y[()]
 
 
 def riemann_2d(
@@ -130,26 +154,32 @@ def riemann_2d(
             else:
                 edges = np.asarray(x_edges_fn(om), dtype=float)
             widths = np.diff(edges, axis=1)  # (B, S), >= 0 for sorted edges
-            x = edges[:, :-1, None] + widths[:, :, None] * frac
+            x = np.multiply(widths[:, :, None], frac)
+            x += edges[:, :-1, None]
             vals = np.broadcast_to(
                 np.asarray(integrand(om[:, None, None], x), dtype=float), x.shape
             )
             # Any non-finite sample leaves the sum non-finite, at weight 0 too (inf * 0 is nan).
             with np.errstate(over="ignore", invalid="ignore"):
-                parts.append(float(np.sum(vals * (widths[:, :, None] / grid.n_x)) * h))
+                weighted = np.multiply(vals, widths[:, :, None] / grid.n_x, out=x)
+                parts.append(float(np.sum(weighted) * h))
             if not math.isfinite(parts[-1]):
                 bad = np.argwhere(~np.isfinite(vals))
                 if bad.size == 0:
                     raise OracleError(f"block sum overflows from omega = {float(om[0])!r}")
                 i, s, j = map(int, bad[0])
-                raise OracleError(f"non-finite integrand sample at omega = "
-                                  f"{float(om[i])!r}, x = {float(x[i, s, j])!r}")
+                raise OracleError(f"non-finite integrand sample at omega = {float(om[i])!r}, "
+                                  f"x = {float(edges[i, s] + widths[i, s] * frac[j])!r}")
     return math.fsum(parts)
 
 
 @dataclass(frozen=True)
 class OracleProblem:
-    """Integrand plus the domain geometry riemann_2d needs for it."""
+    """Integrand plus the domain geometry riemann_2d needs for it.
+
+    The integrand takes omega and x in riemann_2d's block shapes,
+    (B, 1, 1) and (B, S, n), and returns a fresh (B, S, n) array.
+    """
 
     integrand: Callable
     omega_max: float
@@ -238,34 +268,60 @@ def oracle_problem(
             omega_edges, x_edges_fn = _tophat_geometry(model, beta, g)
     omega_min = min(omega_edges, default=0.0)  # alpha'' is 0 below the lowest kink
 
+    # Each integrand is the product in its comment, taken left to right in
+    # place (module docstring); om and x are only read.
     if observable == "force_rest_frame":
 
         def integrand(om, x):
-            return _PREF * x * om**4 * alpha_im(model, om) * photon_number(
-                g * om * (1.0 + beta * x), t2
-            )
+            # _PREF x om^4 a(om) n(g om (1 + beta x), t2)
+            occ = np.multiply(beta, x)
+            occ += 1.0
+            occ *= g * om
+            photon_number(occ, t2, out=occ)
+            out = np.multiply(_PREF, x)
+            out *= om**4
+            out *= alpha_im(model, om)
+            out *= occ
+            return out
 
         return OracleProblem(integrand, cut, omega_edges, x_edges_fn, omega_min)
 
     def integrand(om, x):
-        u = 1.0 + beta * x
-        wb = g * om * u
-        a = alpha_im(model, wb)
-        if observable == "force_lab":
-            occ = photon_number(om, t2) - photon_number(wb, t1)
-            return -_PREF * g * x * u * u * om**4 * a * occ
+        # lead om^4 a(wb) occ, with u = 1 + beta x, wb = g om u and lead
+        # -_PREF g x u u (force_lab), _PREF g u^3 (heating_rate),
+        # -_PREF g^3 (x + beta) u u (drag_combination), else _PREF g u u;
+        # occ n(om, t2) - n(wb, t1) (force_lab, heating_rate), its negative
+        # (intensity), n(wb, t1) (intensity_emitted), else n(om, t2).
+        u = np.multiply(beta, x)
+        u += 1.0
         if observable == "heating_rate":
-            occ = photon_number(om, t2) - photon_number(wb, t1)
-            return _PREF * g * u**3 * om**4 * a * occ
-        if observable == "intensity":
-            occ = photon_number(wb, t1) - photon_number(om, t2)
-            return _PREF * g * u * u * om**4 * a * occ
-        if observable == "intensity_emitted":
-            return _PREF * g * u * u * om**4 * a * photon_number(wb, t1)
-        if observable == "intensity_absorbed":
-            return _PREF * g * u * u * om**4 * a * photon_number(om, t2)
-        # drag_combination
-        return -_PREF * g**3 * (x + beta) * u * u * om**4 * a * photon_number(om, t2)
+            out = np.power(u, 3)
+            out *= _PREF * g
+        else:
+            if observable == "force_lab":
+                out = np.multiply(-_PREF * g, x)
+                out *= u
+            elif observable == "drag_combination":
+                out = np.add(x, beta)
+                out *= -_PREF * g**3
+                out *= u
+            else:
+                out = np.multiply(_PREF * g, u)
+            out *= u
+        wb = np.multiply(g * om, u, out=u)
+        out *= om**4
+        rows = max(1, _ALPHA_NODES // wb[0].size)
+        for i in range(0, len(wb), rows):
+            out[i:i + rows] *= alpha_im(model, wb[i:i + rows])
+        if observable in ("force_lab", "heating_rate"):
+            out *= np.subtract(photon_number(om, t2), photon_number(wb, t1, out=wb), out=wb)
+        elif observable == "intensity":
+            out *= np.subtract(photon_number(wb, t1, out=wb), photon_number(om, t2), out=wb)
+        elif observable == "intensity_emitted":
+            out *= photon_number(wb, t1, out=wb)
+        else:
+            out *= photon_number(om, t2)
+        return out
 
     return OracleProblem(integrand, cut, omega_edges, x_edges_fn, omega_min)
 

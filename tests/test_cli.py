@@ -346,18 +346,21 @@ def test_equilibrium_temp_converges_for_ohmic_near_its_root(tmp_path, capsys):
 
 def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
     """scipy is imported by the commands that need it, not at start-up, and
-    the one-shot observables and verify at beta = 0.9, where the bath
-    kernels take their closed forms, need none of it."""
+    the one-shot observables, verify and equilibrium-temp at beta = 0.9,
+    where the bath kernels take their closed forms, and an equilibrium-temp
+    sweep need none of it: only evolve does."""
     scipy = "sorted(m for m in sys.modules if m.startswith('scipy'))"
     code = f"import sys, bbdrag.cli; print({scipy})"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
     assert out.strip() == "[]"
-    commands = ["force", "heat", "intensity", "restframe-force", "verify"]
+    commands = [[command, "--beta", "0.9"] for command in
+                ("force", "heat", "intensity", "restframe-force", "verify", "equilibrium-temp")]
+    commands.append(["sweep", "--observable", "equilibrium-temp", "--beta", "0.05:0.9:4"])
     code = ("import sys, bbdrag.cli\n"
-            f"for k, command in enumerate({commands!r}):\n"
-            "    assert bbdrag.cli.run([command, '--beta', '0.9', '--output',"
-            f" {str(tmp_path)!r} + f'/{{k}}.json']) == 0, command\n"
+            f"for k, argv in enumerate({commands!r}):\n"
+            "    assert bbdrag.cli.run([*argv, '--output',"
+            f" {str(tmp_path)!r} + f'/{{k}}.json']) == 0, argv\n"
             f"print({scipy})")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout

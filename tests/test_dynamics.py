@@ -136,7 +136,7 @@ def test_equilibrium_meets_the_exact_cutoff_free_ohmic_form():
 
 
 def test_equilibrium_zeroes_the_heating_rate():
-    """The production Qdot, A - P(T1)/gamma^2, vanishes at the root brentq found."""
+    """The production Qdot, A - P(T1)/gamma^2, vanishes at the root of the Brent solve."""
     for model, beta in itertools.product(REFERENCE_MODELS, (0.01, 0.3, 0.7, 0.9)):
         t_eq = equilibrium_temperature(beta, BATH, model, SPEC, rel_tol=1e-10)
         state = ParticleState(beta=beta, mass=1.0, temperature=t_eq)
@@ -150,7 +150,7 @@ def test_equilibrium_zeroes_the_heating_rate():
 def test_equilibrium_zeroes_the_2d_doppler_heating_rate():
     """The root also zeroes Qdot taken as the 2D lab-frame Doppler integral.
 
-    heating_rate is the 1D split that brentq zeroes, so the independent
+    heating_rate is the 1D split that the Brent solve zeroes, so the independent
     check is the 2D quadrature (2 gamma/pi) Int dw w^4 Int dx u^3 a''(w_b)
     [n(w, T2) - n(w_b, T1)] of the same rate.
     """
@@ -205,6 +205,93 @@ def test_equilibrium_rejects_a_bad_tolerance(beta):
     for rel_tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rel_tol must be positive"):
             equilibrium_temperature(beta, BATH, BAND, SPEC, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("beta", (1e-17, 0.5))
+def test_equilibrium_rejects_a_tolerance_below_four_machine_epsilons(beta):
+    """The floor holds at every beta, before the D - 1 <= rel_tol shortcut.
+
+    Below it the Brent stopping test cannot be met in double precision;
+    at beta = 1e-17 the shortcut returned T2 for rel_tol = 1e-17, and at
+    beta = 0.5 the root finder raised "rtol too small".
+    """
+    with pytest.raises(ValueError, match="rel_tol must be .* at least 4 machine epsilons"):
+        equilibrium_temperature(beta, BATH, BAND, SPEC, rel_tol=1e-17)
+    floor = 4.0 * np.finfo(float).eps
+    assert equilibrium_temperature(beta, BATH, BAND, SPEC, rel_tol=floor) > 0.0
+
+
+BRENT_FUNCTIONS = {
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 0.0, 4.0),
+    "exp": (lambda x: math.exp(x) - 10.0, -1.0, 5.0),
+    "log": (lambda x: math.log(x) - 0.5, 0.5, 4.0),
+    "flat": (lambda x: (x - 1.0) ** 5, 0.0, 3.3),
+    "tanh": (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+    "atan": (lambda x: math.atan(1e4 * (x - 2.0)) + 1e-3, 0.0, 7.0),
+}
+
+
+@pytest.mark.parametrize("name", BRENT_FUNCTIONS)
+def test_brent_port_matches_scipy_brentq_bitwise(name):
+    """dynamics._brentq returns scipy.optimize.brentq's root to the bit, and
+    fails where it fails: monotone and steep functions, xtol from 1e-300 to
+    1e-3, rtol from 4 machine epsilons to 1e-6, and iteration caps that
+    stop about half of the solves."""
+    from scipy.optimize import brentq
+
+    f, a, b = BRENT_FUNCTIONS[name]
+    for xtol, rtol, maxiter in itertools.product(
+            (1e-300, 1e-14, 1e-8, 1e-3), (4.0 * np.finfo(float).eps, 1e-12, 1e-6), (3, 10, 100)):
+        root, info = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                            full_output=True, disp=False)
+        got, converged = dynamics._brentq(f, a, b, f(a), f(b), xtol, rtol, maxiter)
+        assert (got.hex(), converged) == (root.hex(), info.converged), (xtol, rtol, maxiter)
+
+
+def test_equilibrium_matches_scipy_brentq_bitwise():
+    """T1* equals scipy.optimize.brentq's root of the same Qdot(T1) to the bit.
+
+    Five models, beta from 1e-6 to BETA_MAX, T2 over six decades, and the
+    default rel_tol and its floor; a point whose bracket fails raises
+    BracketError, and one where scipy stops at its iteration cap raises
+    RuntimeError.
+    """
+    from scipy.optimize import brentq
+
+    models = (*REFERENCE_MODELS, Ohmic(1.0, None))
+    for model, beta, t2, rel_tol in itertools.product(
+            models, (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, BETA_MAX), (1e-3, 1.0, 1e3),
+            (1e-8, 4.0 * np.finfo(float).eps)):
+        blue = math.sqrt((1.0 + beta) / (1.0 - beta))
+        lo, hi = t2 / blue, t2 * blue
+        g2 = lorentz_gamma(beta) ** 2
+        absorbed = heating_rate(ParticleState(beta, 1.0, 0.0), BathSpec(t2), model, SPEC).value
+
+        def qdot(t1):
+            return absorbed - dynamics._emitted_power(t1, model, SPEC).value / g2
+
+        dynamics._equilibrium_cached.cache_clear()
+        if not qdot(lo) > 0.0 > qdot(hi):
+            with pytest.raises(BracketError):
+                equilibrium_temperature(beta, BathSpec(t2), model, SPEC, rel_tol)
+            continue
+        want, info = brentq(qdot, lo, hi, xtol=1e-14 * hi, rtol=rel_tol, full_output=True,
+                            disp=False)
+        if not info.converged:
+            with pytest.raises(RuntimeError, match="no convergence"):
+                equilibrium_temperature(beta, BathSpec(t2), model, SPEC, rel_tol)
+            continue
+        got = equilibrium_temperature(beta, BathSpec(t2), model, SPEC, rel_tol)
+        assert got.hex() == want.hex(), (model, beta, t2, rel_tol)
+
+
+def test_equilibrium_reports_a_solve_stopped_at_the_iteration_cap(monkeypatch):
+    brent = dynamics._brentq
+    monkeypatch.setattr(dynamics, "_brentq", lambda *args: brent(*args, maxiter=2))
+    dynamics._equilibrium_cached.cache_clear()
+    with pytest.raises(RuntimeError, match="no convergence"):
+        equilibrium_temperature(0.5, BATH, BAND, SPEC)
+    dynamics._equilibrium_cached.cache_clear()
 
 
 def test_equilibrium_bracket_failure_is_reported():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import re
 
@@ -20,6 +21,7 @@ from bbdrag import (
     oracle_value,
 )
 from bbdrag.oracle import BUILTIN_CASES, OBSERVABLES, photon_number, riemann_2d
+from bbdrag.polarizability import alpha_im
 import bbdrag.oracle as oracle_module
 
 
@@ -243,6 +245,62 @@ def test_band_domain_drops_only_exact_zeros(observable, beta, t1):
     assert restricted != 0.0
     assert abs(restricted - full) <= 4 * math.ulp(full)
     assert restricted == oracle_value(observable, beta, t1, 1.0, model, grid)
+
+
+def _plain_integrand(observable, beta, t1, t2, model):
+    """Each oracle integrand as one plain numpy expression, taken left to right."""
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    pref = 2.0 / math.pi
+
+    def n(freq, t):
+        if t == 0.0:
+            return np.zeros_like(freq)
+        return 1.0 / (np.exp(np.minimum(freq / t, 700.0)) - 1.0)
+
+    def integrand(om, x):
+        if observable == "force_rest_frame":
+            return pref * x * om**4 * alpha_im(model, om) * n(g * om * (1.0 + beta * x), t2)
+        u = 1.0 + beta * x
+        wb = g * om * u
+        a = alpha_im(model, wb)
+        return {
+            "force_lab": lambda: -pref * g * x * u * u * om**4 * a * (n(om, t2) - n(wb, t1)),
+            "heating_rate": lambda: pref * g * u**3 * om**4 * a * (n(om, t2) - n(wb, t1)),
+            "intensity": lambda: pref * g * u * u * om**4 * a * (n(wb, t1) - n(om, t2)),
+            "intensity_emitted": lambda: pref * g * u * u * om**4 * a * n(wb, t1),
+            "intensity_absorbed": lambda: pref * g * u * u * om**4 * a * n(om, t2),
+            "drag_combination":
+                lambda: -pref * g**3 * (x + beta) * u * u * om**4 * a * n(om, t2),
+        }[observable]()
+
+    return integrand
+
+
+@pytest.mark.parametrize("observable", OBSERVABLES)
+def test_integrands_equal_the_plain_products_bitwise(observable):
+    """The in-place integrands give the plain expressions' bits and leave om and x alone.
+
+    The block has more nodes than one alpha'' chunk and a ragged last
+    chunk; T1 = 0 takes the occupation's zero branch.
+    """
+    rng = np.random.default_rng(7)
+    models = [model_from_dict(d) for d in (
+        {"type": "tophat", "amplitude": 1.0, "omega1": 0.5, "omega2": 1.5},
+        {"type": "ohmic", "slope": 1.0, "omega_c": 5.0},
+        {"type": "drude", "radius": 1.0, "omega_p": 2.0, "nu": 0.5},
+        {"type": "lorentz", "alpha0": 1.0, "omega0": 2.0, "gamma": 0.5})]
+    om = rng.uniform(0.01, 6.0, (5, 1, 1))
+    x = rng.uniform(-1.0, 1.0, (5, 2, 1000))
+    om_bytes, x_bytes = om.tobytes(), x.tobytes()
+    assert x.size > oracle_module._ALPHA_NODES
+    for model, (beta, t1, t2) in itertools.product(models, [(0.6, 0.7, 1.3), (0.3, 0.0, 1.3)]):
+        if observable == "intensity_emitted" and t1 == 0.0:
+            continue  # vanishes identically
+        got = oracle_module.oracle_problem(observable, beta, t1, t2, model).integrand(om, x)
+        want = _plain_integrand(observable, beta, t1, t2, model)(om, x)
+        assert got.shape == want.shape == x.shape
+        assert got.tobytes() == want.tobytes(), (model, beta, t1)
+        assert om.tobytes() == om_bytes and x.tobytes() == x_bytes
 
 
 # ------------------------------------------------------------ golden minting
